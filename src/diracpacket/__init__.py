@@ -53,7 +53,7 @@ from .packet import (
     timescales,
 )
 from .quadrature import QuadratureAccuracyError, integrate_adaptive
-from .specfun import kummer_truncated, legendre_norm, log_gamma, sph_harm
+from .specfun import legendre_norm, sph_harm
 
 __version__ = "0.1.0"
 
@@ -98,9 +98,7 @@ __all__ = [
     "timescales",
     "QuadratureAccuracyError",
     "integrate_adaptive",
-    "kummer_truncated",
     "legendre_norm",
-    "log_gamma",
     "sph_harm",
     "__version__",
 ]

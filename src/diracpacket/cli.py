@@ -12,6 +12,9 @@ set that produced the file.  Feeding that file back through ``--config``
 reruns the identical computation, so any output can be regenerated
 byte-for-byte from its own header.  ``--config`` also accepts a plain
 JSON file with the same flat keys; explicit flags override config values.
+Each subcommand takes only the flags and config keys of its own manifest
+(plus ``--config`` and ``--out``), and a manifest written by another
+subcommand is rejected.
 
 Numbers are written with 17 significant digits (round-trip exact for
 doubles), '.' decimal separator, CRLF line endings.
@@ -59,12 +62,11 @@ _DEFAULTS = {
     "kmax": 4,
     "no_delta": False,
     "no_small": False,
-    "workers": None,
 }
 
 # Parameters echoed into the manifest, per subcommand.  Everything that
-# influences the output bytes is listed; workers is deliberately absent
-# because grids are bit-identical for any worker count.
+# influences the output bytes is listed, and nothing else: these are also
+# the subcommand's only flags and config keys.
 _MANIFEST_KEYS = {
     "timescales": ("Z", "N", "kmax"),
     "autocorr": ("Z", "N", "sigma", "a", "b", "tmin", "tmax", "samples", "unit", "no_small"),
@@ -119,13 +121,18 @@ def _single(text, name: str) -> int:
     return values[0]
 
 
-def _load_config(path: str) -> dict:
-    """Flat JSON config, or a previously written CSV whose manifest is reused."""
+def _load_config(path: str, command: str) -> dict:
+    """Flat JSON config, or a CSV this command wrote whose manifest is reused."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             first = fh.readline()
             if first.startswith("#"):
                 manifest = json.loads(first[1:].strip())
+                if manifest.get("command") != command:
+                    raise CliError(
+                        f"manifest in {path!r} was written by "
+                        f"{manifest.get('command')!r}, not {command!r}"
+                    )
                 params = manifest.get("params")
                 if not isinstance(params, dict):
                     raise CliError(f"manifest in {path!r} carries no params object")
@@ -144,15 +151,13 @@ def _load_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
-    merged = dict(_DEFAULTS)
-    merged["Z"] = None
-    merged["N"] = None
+    merged = {key: _DEFAULTS.get(key) for key in _MANIFEST_KEYS[args.command]}
     merged["out"] = None
     if args.config is not None:
-        config = _load_config(args.config)
+        config = _load_config(args.config, args.command)
         unknown = set(config) - set(merged)
         if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
+            raise CliError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         merged.update(config)
     for key in merged:
         value = getattr(args, key, None)
@@ -162,7 +167,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise CliError("Z is required (flag --Z or config key)")
     if merged["N"] is None:
         raise CliError("N is required (flag --N or config key)")
-    if merged["unit"] not in _UNITS:
+    if "unit" in merged and merged["unit"] not in _UNITS:
         raise CliError(f"unit must be one of {_UNITS}, got {merged['unit']!r}")
     return merged
 
@@ -268,10 +273,7 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list]:
     scales = timescales(spec.Z, spec.N, constants=spec.constants)
     t_nat = float(cfg["time"]) * scales.unit_scale(cfg["unit"])
     grid_spec = PlaneGridSpec(extent=float(cfg["extent"]), resolution=int(cfg["grid"]))
-    workers = cfg["workers"]
-    if workers is not None:
-        workers = int(workers)
-    grid = density_grid(tables, grid_spec, t_nat, workers=workers)
+    grid = density_grid(tables, grid_spec, t_nat)
     r_n = grid.r_n
     rows = []
     for i in range(grid_spec.resolution):
@@ -319,6 +321,31 @@ _COMMANDS = {
 }
 
 
+_FLAGS = {
+    "Z": dict(help="nuclear charge, or START:STOP[:STEP] where sweepable"),
+    "N": dict(help="mean principal quantum number, or a range where sweepable"),
+    "sigma": dict(type=float, help="Gaussian width of |w_n|^2 (default 2.0)"),
+    "a": dict(type=float, help="spin-up amplitude (default 1/sqrt 2)"),
+    "b": dict(type=float, help="spin-down amplitude (default 1/sqrt 2)"),
+    "tmin": dict(type=float, help="series start time in --unit (default 0)"),
+    "tmax": dict(type=float, help="series end time in --unit (default 10)"),
+    "samples": dict(type=int, help="number of time samples (default 2000)"),
+    "unit": dict(choices=_UNITS, help="time unit for inputs/outputs (default tls)"),
+    "time": dict(type=float, help="sample time in --unit (default 0)"),
+    "grid": dict(type=int, help="nodes per axis (default 256)"),
+    "extent": dict(type=float, help="half-width in r_N units (default 1.6)"),
+    "kmax": dict(type=int, help="highest derivative order (default 4)"),
+    "no_delta": dict(
+        action="store_const", const=True, help="drop the cross-shell correction terms"
+    ),
+    "no_small": dict(
+        action="store_const", const=True,
+        help="diagnostics: replace radial integrals by their limit values "
+        "(large-component overlaps 1, small-component integrals 0)",
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracpacket",
@@ -335,30 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("smallnorm", "small-component norm over Z/N sweeps"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--Z", help="nuclear charge, or START:STOP[:STEP] where sweepable")
-        p.add_argument("--N", help="mean principal quantum number, or a range where sweepable")
-        p.add_argument("--sigma", type=float, help="Gaussian width of |w_n|^2 (default 2.0)")
-        p.add_argument("--a", type=float, help="spin-up amplitude (default 1/sqrt 2)")
-        p.add_argument("--b", type=float, help="spin-down amplitude (default 1/sqrt 2)")
-        p.add_argument("--tmin", type=float, help="series start time in --unit (default 0)")
-        p.add_argument("--tmax", type=float, help="series end time in --unit (default 10)")
-        p.add_argument("--samples", type=int, help="number of time samples (default 2000)")
-        p.add_argument("--unit", choices=_UNITS, help="time unit for inputs/outputs (default tls)")
-        p.add_argument("--time", type=float, help="density: sample time in --unit (default 0)")
-        p.add_argument("--grid", type=int, help="density: nodes per axis (default 256)")
-        p.add_argument("--extent", type=float, help="density: half-width in r_N units (default 1.6)")
-        p.add_argument("--kmax", type=int, help="timescales: highest derivative order (default 4)")
-        p.add_argument("--workers", type=int, help="density: thread count (default: CPU count)")
-        p.add_argument(
-            "--no-delta", dest="no_delta", action="store_const", const=True,
-            help="spin: drop the cross-shell correction terms",
-        )
-        p.add_argument(
-            "--no-small", dest="no_small", action="store_const", const=True,
-            help="diagnostics: replace radial integrals by their limit values "
-            "(large-component overlaps 1, small-component integrals 0)",
-        )
-        p.add_argument("--config", help="JSON config file, or a CSV written by this tool")
+        for key in _MANIFEST_KEYS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+        p.add_argument("--config", help="JSON config file, or a CSV written by this subcommand")
         p.add_argument("--out", help="output CSV path (default: stdout)")
     return parser
 

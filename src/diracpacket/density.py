@@ -12,37 +12,25 @@ the e^(i m phi) factors are shared across the grid.
 Grids are spin-resolved by the upper index of each Pauli spinor block:
 spin_up = |c1|^2 + |c3|^2 and spin_down = |c2|^2 + |c4|^2.
 
-Parallel evaluation never changes results: the grid is cut into row blocks
-of a fixed height, each block is computed by the same elementwise kernel
-regardless of worker count, and workers write disjoint row ranges of the
-preallocated output.  One worker and many workers produce bit-identical
-arrays.
+The grid is evaluated serially in row blocks of a fixed height, which
+only bounds the size of the temporaries; every node sees the same
+elementwise operation chain, so repeated calls give bit-identical arrays.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dirac_coulomb import eval_radial
-from .packet import PacketTables
+from .packet import PacketTables, _freeze
 from .specfun import legendre_norm, sph_harm
 
-# Rows per parallel work item.  Fixed (never derived from the worker count)
-# so that the block partition, and therefore every elementwise code path,
-# is identical for serial and parallel runs.
+# Rows per block; bounds the memory of the per-block temporaries.
 _ROW_BLOCK = 16
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 def amplitudes(tables: PacketTables, r, theta, phi, t):
@@ -157,26 +145,14 @@ def _legendre_equatorial(l_ang: int, m_ang: int) -> float:
     return -value if (-m_ang) & 1 else value
 
 
-def density_grid(
-    tables: PacketTables,
-    grid: PlaneGridSpec,
-    t: float,
-    workers: int | None = None,
-) -> DensityGrid:
+def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> DensityGrid:
     """Evaluate the spin-resolved density on an equatorial-plane grid.
 
-    workers sets the thread count (None picks the machine's CPU count);
-    any value yields the same bits.  The returned grid satisfies
-    spin_up >= 0, spin_down >= 0 elementwise.
+    The returned grid satisfies spin_up >= 0, spin_down >= 0 elementwise.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     spec = tables.spec
     xi = spec.Z * spec.constants.alpha
@@ -202,7 +178,7 @@ def density_grid(
     spin_up = np.empty((res, res), dtype=float)
     spin_down = np.empty((res, res), dtype=float)
 
-    def fill_block(i0: int) -> None:
+    for i0 in range(0, res, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, res)
         y_col = axis[i0:i1, np.newaxis]
         x_row = axis[np.newaxis, :]
@@ -240,14 +216,6 @@ def density_grid(
         abs2 = [c.real * c.real + c.imag * c.imag for c in comps]
         spin_up[i0:i1] = abs2[0] + abs2[2]
         spin_down[i0:i1] = abs2[1] + abs2[3]
-
-    starts = range(0, res, _ROW_BLOCK)
-    if workers == 1:
-        for i0 in starts:
-            fill_block(i0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_block, starts))
 
     return DensityGrid(
         x=_freeze(axis),

@@ -57,7 +57,6 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .quadrature import integrate_adaptive
-from .specfun import log_gamma
 
 _LN4 = math.log(4.0)
 
@@ -129,6 +128,21 @@ def _gamma_or_raise(Z: int, kappa: int, xi: float) -> float:
     return math.sqrt((float(kappa) - xi) * (float(kappa) + xi))
 
 
+def _level(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants):
+    """(xi, gamma, d, N) of the bound state (n', kappa): d = n' + gamma and
+    N = hypot(d, xi), after checking that the state exists."""
+    if n_prime < 0:
+        raise ValueError(f"require n_prime >= 0, got {n_prime!r}")
+    xi = _xi(Z, constants)
+    gamma = _gamma_or_raise(Z, kappa, xi)
+    if n_prime == 0 and kappa > 0:
+        raise ValueError(
+            f"no bound state exists with n_prime = 0 and kappa = {kappa} > 0"
+        )
+    d = n_prime + gamma
+    return xi, gamma, d, math.hypot(d, xi)
+
+
 def bound_energy(
     Z: int,
     n_prime: int,
@@ -140,16 +154,8 @@ def bound_energy(
     E = [1 + (xi / (n' + gamma))^2]^(-1/2) with xi = Z alpha and
     gamma = sqrt(kappa^2 - xi^2).  Always in (0, 1) for subcritical xi.
     """
-    if n_prime < 0:
-        raise ValueError(f"require n_prime >= 0, got {n_prime!r}")
-    xi = _xi(Z, constants)
-    gamma = _gamma_or_raise(Z, kappa, xi)
-    if n_prime == 0 and kappa > 0:
-        raise ValueError(
-            f"no bound state exists with n_prime = 0 and kappa = {kappa} > 0"
-        )
-    d = n_prime + gamma
-    return d / math.hypot(d, xi)
+    _, _, d, big_n = _level(Z, n_prime, kappa, constants)
+    return d / big_n
 
 
 def binding_energy(
@@ -163,16 +169,7 @@ def binding_energy(
     Uses E - 1 = -xi^2 / (N (d + N)) with d = n' + gamma, N = hypot(d, xi),
     which stays fully accurate even when the binding is ~xi^2/2n^2 ~ 1e-13.
     """
-    if n_prime < 0:
-        raise ValueError(f"require n_prime >= 0, got {n_prime!r}")
-    xi = _xi(Z, constants)
-    gamma = _gamma_or_raise(Z, kappa, xi)
-    if n_prime == 0 and kappa > 0:
-        raise ValueError(
-            f"no bound state exists with n_prime = 0 and kappa = {kappa} > 0"
-        )
-    d = n_prime + gamma
-    big_n = math.hypot(d, xi)
+    xi, _, d, big_n = _level(Z, n_prime, kappa, constants)
     return -(xi * xi) / (big_n * (d + big_n))
 
 
@@ -277,16 +274,8 @@ def state_from_kappa(
     """
     if n_prime not in (0, 1):
         raise ValueError(f"require n_prime in {{0, 1}}, got {n_prime!r}")
-    xi = _xi(Z, constants)
-    gamma = _gamma_or_raise(Z, kappa, xi)
+    xi, gamma, d, big_n = _level(Z, n_prime, kappa, constants)  # big_n = xi / lambda
     kappa = int(kappa)
-    if n_prime == 0 and kappa > 0:
-        raise ValueError(
-            f"no bound state exists with n_prime = 0 and kappa = {kappa} > 0"
-        )
-
-    d = n_prime + gamma
-    big_n = math.hypot(d, xi)  # equals xi / lambda
     energy = d / big_n
     lam = xi / big_n
     beta = big_n - kappa
@@ -294,8 +283,8 @@ def state_from_kappa(
 
     log_a = (
         1.5 * math.log(2.0 * lam)
-        - log_gamma(c)
-        + 0.5 * (log_gamma(c + n_prime) - _LN4 - math.log(big_n) - math.log(beta))
+        - math.lgamma(c)
+        + 0.5 * (math.lgamma(c + n_prime) - _LN4 - math.log(big_n) - math.log(beta))
     )
     one_minus_e = lam * lam / (1.0 + energy)
     g_log = log_a + 0.5 * math.log1p(energy)
@@ -439,7 +428,7 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
         + log_b
         + (a.gamma - 1.0) * math.log(2.0 * a.lam)
         + (b.gamma - 1.0) * math.log(2.0 * b.lam)
-        + log_gamma(big_g + 1.0)
+        + math.lgamma(big_g + 1.0)
         - (big_g + 1.0) * math.log(lam_sum)
     )
     bracket = q0 + (big_g + 1.0) / lam_sum * (q1 + q2 * (big_g + 2.0) / lam_sum)

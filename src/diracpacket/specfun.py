@@ -1,8 +1,4 @@
-"""Special functions underpinning the bound-state machinery.
-
-Three small pieces live here: a guarded log-gamma, the truncated Kummer
-series that appears in the degree <= 1 radial polynomials, and spherical
-harmonics that stay accurate up to l of a few hundred.
+"""Spherical harmonics that stay accurate up to l of a few hundred.
 
 Spherical harmonics use the Condon-Shortley phase convention,
 
@@ -27,41 +23,6 @@ _LN10 = math.log(10.0)
 
 # Mantissas in the Legendre recurrence are renormalized past this magnitude.
 _RESCALE_THRESHOLD = 1e140
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for real x > 0.
-
-    Raises
-    ------
-    ValueError
-        If x is not finite or not strictly positive.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def kummer_truncated(n_prime: int, c: float, x: float) -> float:
-    """Confluent hypergeometric F(-n_prime, c, x) for n_prime in {0, 1}.
-
-    These are the only orders the circular-state radial polynomials use:
-    F(0, c, x) = 1 and F(-1, c, x) = 1 - x/c.
-    """
-    if n_prime not in (0, 1):
-        raise ValueError(
-            f"only polynomial orders n_prime in {{0, 1}} are supported, got {n_prime!r}"
-        )
-    c = float(c)
-    x = float(x)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValueError(f"kummer_truncated requires finite c > 0, got {c!r}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"kummer_truncated requires finite x >= 0, got {x!r}")
-    if n_prime == 0:
-        return 1.0
-    return 1.0 - x / c
 
 
 def legendre_norm(l: int, m: int, theta: float) -> float:

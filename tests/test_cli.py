@@ -6,11 +6,12 @@ stderr, and written files are all observable without spawning a shell.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from diracpacket.cli import main, parse_range
+from diracpacket.cli import _MANIFEST_KEYS, main, parse_range
 
 
 def run_cli(argv, capsys):
@@ -193,6 +194,51 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert rc == 2
     assert "error:" in err
     assert "zeta" in err
+
+
+def test_config_key_of_another_subcommand_rejected(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"Z": "92", "N": "4", "grid": 16}))
+    rc, out, err = run_cli(["autocorr", "--config", str(config)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "grid" in err
+
+
+def test_manifest_of_another_subcommand_rejected(tmp_path, capsys):
+    rho = tmp_path / "rho.csv"
+    rc, _, _ = run_cli(
+        ["density", "--Z", "92", "--N", "4", "--sigma", "0.8", "--grid", "16",
+         "--out", str(rho)],
+        capsys,
+    )
+    assert rc == 0
+    rc, out, err = run_cli(["autocorr", "--config", str(rho)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "'density'" in err and "'autocorr'" in err
+
+
+def test_flag_of_another_subcommand_rejected(capsys):
+    for argv in (
+        ["timescales", "--Z", "92", "--N", "20", "--grid", "7"],
+        ["smallnorm", "--Z", "92", "--N", "20", "--samples", "5"],
+        ["density", "--Z", "92", "--N", "20", "--workers", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_help_lists_only_the_manifest_flags(capsys):
+    for command, keys in _MANIFEST_KEYS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        expected = {"--" + key.replace("_", "-") for key in keys} | {"--config", "--out"}
+        assert listed == expected, command
 
 
 def test_bad_unit_in_config_rejected(tmp_path, capsys):

@@ -1,7 +1,7 @@
-"""Checks for the scalar special functions.
+"""Checks for the spherical harmonics.
 
-Reference values come from math.lgamma, scipy.special, and a few frozen
-literals computed with mpmath at 50 digits.
+Reference values come from scipy.special and a few frozen literals
+computed with mpmath at 50 digits.
 """
 
 import math
@@ -10,71 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from diracpacket import kummer_truncated, legendre_norm, log_gamma, sph_harm
-
-
-def test_log_gamma_matches_stdlib():
-    for x in [1e-4, 0.5, 1.0, 1.5, 2.0, 7.25, 41.977, 120.0, 1e3, 1e6]:
-        assert math.isclose(log_gamma(x), math.lgamma(x), rel_tol=1e-14, abs_tol=1e-14)
-
-
-def test_log_gamma_half_integer():
-    # Gamma(1/2) = sqrt(pi)
-    assert abs(log_gamma(0.5) - 0.5723649429247001) < 1e-15
-    assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-15
-
-
-def test_log_gamma_recurrence():
-    """log Gamma(x+1) - log Gamma(x) = log x."""
-    rng = np.random.default_rng(20260815)
-    for x in rng.uniform(0.1, 500.0, size=200):
-        lhs = log_gamma(x + 1.0) - log_gamma(x)
-        assert math.isclose(lhs, math.log(x), rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_log_gamma_rejects_nonpositive():
-    for bad in [0.0, -1.0, -0.5, math.inf, math.nan]:
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-
-def test_kummer_degree_zero_is_one():
-    for c in [0.3, 1.0, 41.977]:
-        for x in [0.0, 1.0, 250.0]:
-            assert kummer_truncated(0, c, x) == 1.0
-
-
-def test_kummer_degree_one_closed_form():
-    # M(-1, c, x) = 1 - x/c
-    assert kummer_truncated(1, 41.977, 40.0) == pytest.approx(
-        1.0 - 40.0 / 41.977, rel=1e-15
-    )
-    # sign change across x = c
-    assert kummer_truncated(1, 10.0, 10.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_kummer_matches_scipy_hyp1f1():
-    """The truncated series is the polynomial 1F1(-n', c, x)."""
-    rng = np.random.default_rng(7)
-    for _ in range(120):
-        n_prime = int(rng.integers(0, 2))
-        c = float(rng.uniform(0.5, 80.0))
-        x = float(rng.uniform(0.0, 100.0))
-        mine = kummer_truncated(n_prime, c, x)
-        ref = float(scipy.special.hyp1f1(-n_prime, c, x))
-        assert math.isclose(mine, ref, rel_tol=1e-10, abs_tol=1e-10)
-
-
-def test_kummer_domain_errors():
-    # only the two polynomial orders the bound-state family uses exist
-    with pytest.raises(ValueError):
-        kummer_truncated(-1, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer_truncated(2, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer_truncated(1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer_truncated(1, 2.0, -1.0)
+from diracpacket import legendre_norm, sph_harm
 
 
 def test_y00_constant():
