@@ -16,8 +16,11 @@ Each subcommand takes only the flags and config keys of its own manifest
 (plus ``--config`` and ``--out``), and a manifest written by another
 subcommand is rejected.
 
-Numbers are written with 17 significant digits (round-trip exact for
-doubles), '.' decimal separator, CRLF line endings.
+Subcommands return their rows as plain values (ints, floats and the
+``ls``/``cl`` labels); only the CSV writer turns them into text.  It
+writes floats with 17 significant digits (round-trip exact for doubles),
+'.' decimal separator, CRLF line endings, and streams the rows to the
+output without buffering the file.
 
 Exit status 0 when every output was written; 2 when a parameter violates
 a precondition (the message names it); 1 for unexpected failures.
@@ -26,7 +29,7 @@ a precondition (the message names it); 1 for unexpected failures.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import math
 import sys
@@ -83,10 +86,6 @@ class CliError(Exception):
     """Parameter or configuration problem; message names the precondition."""
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def parse_range(text, name: str) -> list[int]:
     """Parse an integer or an inclusive START:STOP[:STEP] range."""
     parts = str(text).split(":")
@@ -126,27 +125,27 @@ def _load_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             first = fh.readline()
-            if first.startswith("#"):
-                manifest = json.loads(first[1:].strip())
-                if manifest.get("command") != command:
-                    raise CliError(
-                        f"manifest in {path!r} was written by "
-                        f"{manifest.get('command')!r}, not {command!r}"
-                    )
-                params = manifest.get("params")
-                if not isinstance(params, dict):
-                    raise CliError(f"manifest in {path!r} carries no params object")
-                return params
-            rest = fh.read()
+            is_manifest = first.startswith("#")
+            text = first[1:] if is_manifest else first + fh.read()
     except OSError as exc:
         raise CliError(f"cannot read config {path!r}: {exc}") from None
+    what = "manifest" if is_manifest else "config"
     try:
-        data = json.loads(first + rest)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"config {path!r} is neither JSON nor a manifest CSV: {exc}") from None
+        raise CliError(f"{what} in {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise CliError(f"config {path!r} must hold a JSON object of parameters")
-    return data
+        raise CliError(f"{what} in {path!r} must be a JSON object")
+    if not is_manifest:
+        return data
+    if data.get("command") != command:
+        raise CliError(
+            f"manifest in {path!r} was written by {data.get('command')!r}, not {command!r}"
+        )
+    params = data.get("params")
+    if not isinstance(params, dict):
+        raise CliError(f"manifest in {path!r} carries no params object")
+    return params
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -172,21 +171,26 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _write_csv(out_path, manifest: dict, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(manifest, sort_keys=True) + "\r\n")
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(row) + "\r\n")
-    data = buf.getvalue()
+def _write_csv(out_path, manifest: dict, header: list[str], rows: list[tuple]) -> None:
+    """Stream the manifest line, the header and rows to out_path or stdout.
+
+    The one place numbers become text: a column whose first value is a
+    float gets 17 significant digits, any other column its ``str``.
+    """
+    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+    template += "\r\n"
+    lines = itertools.chain(
+        ("# " + json.dumps(manifest, sort_keys=True) + "\r\n", ",".join(header) + "\r\n"),
+        (template % row for row in rows),
+    )
     if out_path is None:
-        sys.stdout.write(data)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise CliError(f"cannot write output {out_path!r}: {exc}") from None
+        sys.stdout.writelines(lines)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise CliError(f"cannot write output {out_path!r}: {exc}") from None
 
 
 def _packet_spec(cfg: dict) -> PacketSpec:
@@ -199,7 +203,7 @@ def _packet_spec(cfg: dict) -> PacketSpec:
     )
 
 
-def cmd_timescales(cfg: dict) -> tuple[dict, list[str], list]:
+def cmd_timescales(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     z_values = parse_range(cfg["Z"], "Z")
     n_values = parse_range(cfg["N"], "N")
     kmax = int(cfg["kmax"])
@@ -208,20 +212,10 @@ def cmd_timescales(cfg: dict) -> tuple[dict, list[str], list]:
     for Z in z_values:
         for N in n_values:
             scales = timescales(Z, N, k_max=kmax)
-            t1 = scales.t[1]
-            for k in range(1, kmax + 1):
-                tk = scales.t[k]
-                rows.append(
-                    [str(Z), str(N), str(k), _fmt(tk), _fmt(tk / t1), _fmt(tk * seconds)]
-                )
-            rows.append(
-                [str(Z), str(N), "ls", _fmt(scales.t_ls), _fmt(scales.t_ls / t1),
-                 _fmt(scales.t_ls * seconds)]
-            )
-            rows.append(
-                [str(Z), str(N), "cl", _fmt(scales.t_cl), _fmt(scales.t_cl / t1),
-                 _fmt(scales.t_cl * seconds)]
-            )
+            t1 = float(scales.t[1])
+            labelled = [(k, float(scales.t[k])) for k in range(1, kmax + 1)]
+            labelled += [("ls", scales.t_ls), ("cl", scales.t_cl)]
+            rows += [(Z, N, k, tk, tk / t1, tk * seconds) for k, tk in labelled]
     header = ["Z", "N", "k", "T_k_natural", "T_k_over_T1", "T_k_seconds"]
     return {}, header, rows
 
@@ -237,37 +231,36 @@ def _time_grid(cfg: dict, spec: PacketSpec):
     scales = timescales(spec.Z, spec.N, constants=spec.constants)
     factor = scales.unit_scale(cfg["unit"])
     t_unit = np.linspace(tmin, tmax, samples)
-    return t_unit, t_unit * factor, scales
+    return t_unit, t_unit * factor
 
 
-def cmd_autocorr(cfg: dict) -> tuple[dict, list[str], list]:
+def cmd_autocorr(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec, nonrelativistic_radial=bool(cfg["no_small"]))
-    t_unit, t_nat, _ = _time_grid(cfg, spec)
+    t_unit, t_nat = _time_grid(cfg, spec)
     amp = autocorrelation(tables, t_nat)
-    rows = [
-        [_fmt(tu), _fmt(tn), _fmt(a.real), _fmt(a.imag), _fmt(abs(a) ** 2)]
-        for tu, tn, a in zip(t_unit, t_nat, amp)
-    ]
+    # Python's abs(complex) ** 2, not np.abs(amp) ** 2: the two differ in
+    # the last bit for about a third of all values.
+    abs_sq = [abs(a) ** 2 for a in amp.tolist()]
+    rows = list(
+        zip(t_unit.tolist(), t_nat.tolist(), amp.real.tolist(), amp.imag.tolist(), abs_sq)
+    )
     header = ["t_in_selected_unit", "t_natural", "re_A", "im_A", "abs_A_squared"]
     return {}, header, rows
 
 
-def cmd_spin(cfg: dict) -> tuple[dict, list[str], list]:
+def cmd_spin(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec, nonrelativistic_radial=bool(cfg["no_small"]))
-    t_unit, t_nat, _ = _time_grid(cfg, spec)
+    t_unit, t_nat = _time_grid(cfg, spec)
     sx, sy, sz = spin_expect(tables, t_nat, include_delta=not cfg["no_delta"])
     length = np.sqrt(sx * sx + sy * sy + sz * sz)
-    rows = [
-        [_fmt(t), _fmt(x), _fmt(y), _fmt(z), _fmt(s)]
-        for t, x, y, z, s in zip(t_unit, sx, sy, sz, length)
-    ]
+    rows = list(zip(*(column.tolist() for column in (t_unit, sx, sy, sz, length))))
     header = ["t", "sx", "sy", "sz", "spin_length"]
     return {}, header, rows
 
 
-def cmd_density(cfg: dict) -> tuple[dict, list[str], list]:
+def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec)
     scales = timescales(spec.Z, spec.N, constants=spec.constants)
@@ -275,15 +268,15 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list]:
     grid_spec = PlaneGridSpec(extent=float(cfg["extent"]), resolution=int(cfg["grid"]))
     grid = density_grid(tables, grid_spec, t_nat)
     r_n = grid.r_n
-    rows = []
-    for i in range(grid_spec.resolution):
-        y = grid.y[i] / r_n
-        for j in range(grid_spec.resolution):
-            up = grid.spin_up[i, j]
-            down = grid.spin_down[i, j]
-            rows.append(
-                [_fmt(grid.x[j] / r_n), _fmt(y), _fmt(up), _fmt(down), _fmt(up + down)]
-            )
+    # Long format, row-major: x varies fastest, as in spin_up[i, j] at (x[j], y[i]).
+    columns = (
+        np.tile(grid.x / r_n, grid.y.size),
+        np.repeat(grid.y / r_n, grid.x.size),
+        grid.spin_up.ravel(),
+        grid.spin_down.ravel(),
+        grid.total.ravel(),
+    )
+    rows = list(zip(*(column.tolist() for column in columns)))
     header = ["x_over_rN", "y_over_rN", "rho_up", "rho_down", "rho_total"]
     extra = {
         "r_N_compton": r_n,
@@ -295,7 +288,7 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list]:
     return extra, header, rows
 
 
-def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], list]:
+def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     z_values = parse_range(cfg["Z"], "Z")
     n_values = parse_range(cfg["N"], "N")
     rows = []
@@ -305,9 +298,7 @@ def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], list]:
                 Z=Z, N=N, sigma_g=float(cfg["sigma"]), a=float(cfg["a"]), b=float(cfg["b"])
             )
             norm = small_norm(build_tables(spec))
-            rows.append(
-                [str(Z), str(N), _fmt(norm.c3_norm), _fmt(norm.c4_norm), _fmt(norm.total)]
-            )
+            rows.append((Z, N, norm.c3_norm, norm.c4_norm, norm.total))
     header = ["Z", "N", "c3_norm", "c4_norm", "total"]
     return {}, header, rows
 

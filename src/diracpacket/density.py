@@ -82,7 +82,7 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
     for ket in tables.kets:
         g, f = radial_pair(ket.state)
         rad = g if ket.radial_part == "g" else f
-        prefactor = ket.coef * cmath.exp(-1j * ket.energy * t)
+        prefactor = ket.coef * cmath.exp(-1j * ket.state.energy * t)
         out[ket.component - 1] += prefactor * rad * angular(ket.l_ang, ket.m_ang)
 
     if np.ndim(r_in) == 0 and np.ndim(theta_in) == 0 and np.ndim(phi_in) == 0:
@@ -170,7 +170,7 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
     kets = tables.kets
     equatorial = [_legendre_equatorial(k.l_ang, k.m_ang) for k in kets]
     prefactors = [
-        k.coef * cmath.exp(-1j * k.energy * t) * p
+        k.coef * cmath.exp(-1j * k.state.energy * t) * p
         for k, p in zip(kets, equatorial)
     ]
     m_values = sorted({k.m_ang for k in kets})

@@ -152,7 +152,6 @@ class Ket:
     coef: complex
     state: CircularState
     radial_part: str
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -224,14 +223,13 @@ def _build_kets(
         w = float(w)
         two_l = 2.0 * l
         s = math.sqrt(two_l) / (two_l + 1.0)
-        ep, em = sp.energy, sm.energy
         kets += [
-            Ket(1, l, l, 1j * w * a, sp, "g", ep),
-            Ket(1, l, l - 1, 1j * w * b * s, sp, "g", ep),
-            Ket(1, l, l - 1, -1j * w * b * s, sm, "g", em),
-            Ket(2, l, l, 1j * w * b / (two_l + 1.0), sp, "g", ep),
-            Ket(2, l, l, 1j * w * b * two_l / (two_l + 1.0), sm, "g", em),
-            Ket(3, l + 1, l, w * a / math.sqrt(two_l + 3.0), sp, "f", ep),
+            Ket(1, l, l, 1j * w * a, sp, "g"),
+            Ket(1, l, l - 1, 1j * w * b * s, sp, "g"),
+            Ket(1, l, l - 1, -1j * w * b * s, sm, "g"),
+            Ket(2, l, l, 1j * w * b / (two_l + 1.0), sp, "g"),
+            Ket(2, l, l, 1j * w * b * two_l / (two_l + 1.0), sm, "g"),
+            Ket(3, l + 1, l, w * a / math.sqrt(two_l + 3.0), sp, "f"),
             Ket(
                 3,
                 l + 1,
@@ -239,7 +237,6 @@ def _build_kets(
                 w * b * math.sqrt(2.0 / ((two_l + 1.0) * (two_l + 3.0))),
                 sp,
                 "f",
-                ep,
             ),
             Ket(
                 3,
@@ -248,7 +245,6 @@ def _build_kets(
                 -w * b * math.sqrt(two_l / (two_l + 1.0)),
                 sm,
                 "f",
-                em,
             ),
             Ket(
                 4,
@@ -257,9 +253,8 @@ def _build_kets(
                 -w * a * math.sqrt((two_l + 2.0) / (two_l + 3.0)),
                 sp,
                 "f",
-                ep,
             ),
-            Ket(4, l + 1, l, -w * b / math.sqrt(two_l + 3.0), sp, "f", ep),
+            Ket(4, l + 1, l, -w * b / math.sqrt(two_l + 3.0), sp, "f"),
         ]
     return tuple(kets)
 
@@ -473,7 +468,7 @@ def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
             ):
                 continue
             amp = np.conj(ka.coef) * kb.coef * radial(ka, kb)
-            out += amp * np.exp(-1j * kb.energy * flat)
+            out += amp * np.exp(-1j * kb.state.energy * flat)
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)

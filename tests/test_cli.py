@@ -219,6 +219,16 @@ def test_manifest_of_another_subcommand_rejected(tmp_path, capsys):
     assert "error:" in err and "'density'" in err and "'autocorr'" in err
 
 
+@pytest.mark.parametrize("first_line", ["# 5", "# [1]", '# "autocorr"', "# {bad", "[1, 2]"])
+def test_config_that_is_not_a_json_object_names_the_file(tmp_path, capsys, first_line):
+    config = tmp_path / "odd.csv"
+    config.write_text(first_line + "\r\nt,re_A\r\n")
+    rc, out, err = run_cli(["autocorr", "--config", str(config)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and str(config) in err
+
+
 def test_flag_of_another_subcommand_rejected(capsys):
     for argv in (
         ["timescales", "--Z", "92", "--N", "20", "--grid", "7"],
@@ -250,6 +260,17 @@ def test_bad_unit_in_config_rejected(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ failure modes
+
+
+def test_unwritable_output_reports_and_exits(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "scales.csv"):
+        rc, out, err = run_cli(
+            ["timescales", "--Z", "1", "--N", "5", "--out", str(target)], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output") and str(target) in err
+        assert "Traceback" not in err
 
 
 def test_supercritical_charge_reports_and_exits(capsys):

@@ -3,7 +3,8 @@
 One case per subcommand, plus both time-series switches, an explicit
 density window and every time unit.  A refactor that claims to keep the
 output byte-identical must leave these digests alone, and every output
-must still reproduce itself when fed back through ``--config``.
+must still reproduce itself when fed back through ``--config`` and come
+out byte for byte the same on stdout as in the ``--out`` file.
 
 The digests were recorded with CPython 3.11, NumPy 2.4 on x86-64 Linux.
 A different libm or NumPy build may round a last digit differently; a
@@ -68,10 +69,14 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv, digest", GOLDEN, ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(GOLDEN)]
 )
-def test_cli_output_digest_and_config_round_trip(tmp_path, argv, digest):
+def test_cli_output_digest_and_config_round_trip(tmp_path, capsys, argv, digest):
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
     assert main(list(argv) + ["--out", str(first)]) == 0
     assert hashlib.sha256(first.read_bytes()).hexdigest() == digest
     assert main([argv[0], "--config", str(first), "--out", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
+    # Without --out the same bytes go to stdout.
+    capsys.readouterr()
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out.encode("utf-8") == first.read_bytes()

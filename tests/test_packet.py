@@ -272,7 +272,7 @@ class _BruteSpin:
                 for kb in by_comp[comp_b]:
                     if ka.l_ang == kb.l_ang and ka.m_ang == kb.m_ang:
                         amp = ka.coef.conjugate() * kb.coef * radial(ka, kb)
-                        out.append((amp, ka.energy - kb.energy))
+                        out.append((amp, ka.state.energy - kb.state.energy))
             return out
 
         self._cross = pairs(1, 2) + pairs(3, 4)
