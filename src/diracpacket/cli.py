@@ -127,7 +127,7 @@ def _load_config(path: str, command: str) -> dict:
             first = fh.readline()
             is_manifest = first.startswith("#")
             text = first[1:] if is_manifest else first + fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path!r}: {exc}") from None
     what = "manifest" if is_manifest else "config"
     try:
@@ -148,6 +148,22 @@ def _load_config(path: str, command: str) -> dict:
     return params
 
 
+def _config_value_ok(key: str, value) -> bool:
+    """Whether a config value has a type its flag could have produced."""
+    if key == "out":
+        return isinstance(value, str)
+    flag = _FLAGS[key]
+    if "action" in flag:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    try:
+        flag.get("type", str)(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
     merged = {key: _DEFAULTS.get(key) for key in _MANIFEST_KEYS[args.command]}
@@ -157,6 +173,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(config) - set(merged)
         if unknown:
             raise CliError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        for key, value in config.items():
+            if not _config_value_ok(key, value):
+                raise CliError(
+                    f"config key {key!r} in {args.config!r} has a value of the "
+                    f"wrong type: {value!r}"
+                )
         merged.update(config)
     for key in merged:
         value = getattr(args, key, None)

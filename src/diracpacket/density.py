@@ -138,13 +138,6 @@ class DensityGrid:
         return self.spin_up + self.spin_down
 
 
-def _legendre_equatorial(l_ang: int, m_ang: int) -> float:
-    if m_ang >= 0:
-        return legendre_norm(l_ang, m_ang, 0.5 * math.pi)
-    value = legendre_norm(l_ang, -m_ang, 0.5 * math.pi)
-    return -value if (-m_ang) & 1 else value
-
-
 def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> DensityGrid:
     """Evaluate the spin-resolved density on an equatorial-plane grid.
 
@@ -166,14 +159,19 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
     # orders of magnitude below the packet's for every circular window.
     r_floor = half * 1e-12
 
-    # One Legendre number per ket covers the whole plane.
+    # One Legendre number per ket covers the whole plane; every ket has
+    # m = l - 1, l or l + 1 with l >= 1, so m >= 0.
     kets = tables.kets
-    equatorial = [_legendre_equatorial(k.l_ang, k.m_ang) for k in kets]
     prefactors = [
-        k.coef * cmath.exp(-1j * k.state.energy * t) * p
-        for k, p in zip(kets, equatorial)
+        k.coef
+        * cmath.exp(-1j * k.state.energy * t)
+        * legendre_norm(k.l_ang, k.m_ang, 0.5 * math.pi)
+        for k in kets
     ]
-    m_values = sorted({k.m_ang for k in kets})
+    m_min = min(k.m_ang for k in kets)
+    m_max = max(k.m_ang for k in kets)
+    # Distinct radial profiles: many kets share one state.
+    states = {(k.state.qn.kappa, k.state.qn.n_prime): k.state for k in kets}
 
     spin_up = np.empty((res, res), dtype=float)
     spin_down = np.empty((res, res), dtype=float)
@@ -186,26 +184,14 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
         np.maximum(r, r_floor, out=r)
         phi = np.arctan2(y_col, x_row)
 
-        radial: dict[tuple[int, int], tuple] = {}
-        for ket in kets:
-            key = (ket.state.qn.kappa, ket.state.qn.n_prime)
-            if key not in radial:
-                radial[key] = eval_radial(ket.state, r)
+        radial = {key: eval_radial(state, r) for key, state in states.items()}
 
-        # e^(i m phi) for every m in play, built by stepping up from the
-        # smallest m so each grid node sees one fixed operation chain.
+        # e^(i m phi) for every m from the smallest up, each one step from
+        # the last, so every grid node sees one fixed operation chain.
         unit = np.exp(1j * phi)
-        e_of_m: dict[int, np.ndarray] = {}
-        current = None
-        current_m = None
-        for m in m_values:
-            if current is None:
-                current = np.exp(1j * float(m) * phi)
-            else:
-                for _ in range(m - current_m):
-                    current = current * unit
-            e_of_m[m] = current
-            current_m = m
+        e_of_m = {m_min: np.exp(1j * float(m_min) * phi)}
+        for m in range(m_min + 1, m_max + 1):
+            e_of_m[m] = e_of_m[m - 1] * unit
 
         comps = [np.zeros(r.shape, dtype=complex) for _ in range(4)]
         for ket, pref in zip(kets, prefactors):

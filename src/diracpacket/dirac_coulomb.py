@@ -120,21 +120,17 @@ def _xi(Z: int, constants: PhysicalConstants) -> float:
     return float(Z) * constants.alpha
 
 
-def _gamma_or_raise(Z: int, kappa: int, xi: float) -> float:
-    if not isinstance(kappa, (int, np.integer)) or kappa == 0:
-        raise ValueError(f"kappa must be a nonzero integer, got {kappa!r}")
-    if xi >= abs(kappa):
-        raise SupercriticalChargeError(Z, int(kappa), xi)
-    return math.sqrt((float(kappa) - xi) * (float(kappa) + xi))
-
-
 def _level(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants):
     """(xi, gamma, d, N) of the bound state (n', kappa): d = n' + gamma and
     N = hypot(d, xi), after checking that the state exists."""
     if n_prime < 0:
         raise ValueError(f"require n_prime >= 0, got {n_prime!r}")
     xi = _xi(Z, constants)
-    gamma = _gamma_or_raise(Z, kappa, xi)
+    if not isinstance(kappa, (int, np.integer)) or kappa == 0:
+        raise ValueError(f"kappa must be a nonzero integer, got {kappa!r}")
+    if xi >= abs(kappa):
+        raise SupercriticalChargeError(Z, int(kappa), xi)
+    gamma = math.sqrt((float(kappa) - xi) * (float(kappa) + xi))
     if n_prime == 0 and kappa > 0:
         raise ValueError(
             f"no bound state exists with n_prime = 0 and kappa = {kappa} > 0"
@@ -197,13 +193,10 @@ def fine_splitting(
     """
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValueError(f"fine splitting needs a shell N >= 2, got {N!r}")
-    xi = _xi(Z, constants)
-    gamma_plus = _gamma_or_raise(Z, -int(N), xi)
-    gamma_minus = _gamma_or_raise(Z, int(N) - 1, xi)
-    d_plus = gamma_plus
-    d_minus = 1.0 + gamma_minus
-    e_plus = d_plus / math.hypot(d_plus, xi)
-    e_minus = d_minus / math.hypot(d_minus, xi)
+    xi, _, d_plus, hypot_plus = _level(Z, 0, -int(N), constants)
+    _, gamma_minus, d_minus, hypot_minus = _level(Z, 1, int(N) - 1, constants)
+    e_plus = d_plus / hypot_plus
+    e_minus = d_minus / hypot_minus
     xi2 = xi * xi
     return (
         2.0
@@ -309,20 +302,11 @@ def state_from_kappa(
         # leading coefficient -beta/c is negative, so flip the whole state.
         g_sign, f_sign = -1.0, 1.0
 
-    if n_prime == 0:
-        n = abs(kappa)
-        l = n - 1
-        branch = Branch.J_PLUS
-    else:
-        if kappa > 0:
-            n = kappa + 1
-            l = kappa
-            branch = Branch.J_MINUS
-        else:
-            # j = l + 1/2 tower, one radial node; not circular but valid.
-            n = abs(kappa) + 1
-            l = abs(kappa) - 1
-            branch = Branch.J_PLUS
+    # n_prime = 1 with kappa < 0 is the one-node j = l + 1/2 state: not
+    # circular, but valid.
+    n = n_prime + abs(kappa)
+    l = kappa if kappa > 0 else -kappa - 1
+    branch = Branch.J_MINUS if kappa > 0 else Branch.J_PLUS
     qn = QuantumNumbers(Z=int(Z), n=n, l=l, branch=branch, kappa=kappa, n_prime=n_prime)
 
     return CircularState(
@@ -387,10 +371,13 @@ def _part_data(state: CircularState, letter: str):
     raise ValueError(f"radial part must be 'g' or 'f', got {letter!r}")
 
 
-def _check_part(part: str) -> tuple[str, str]:
+def _check_pair(a: CircularState, b: CircularState, part: str) -> None:
+    if a.qn.Z != b.qn.Z:
+        raise ValueError(
+            f"overlap requires matching nuclear charge, got Z = {a.qn.Z} and {b.qn.Z}"
+        )
     if part not in ("gg", "ff"):
         raise ValueError(f"part must be 'gg' or 'ff', got {part!r}")
-    return part[0], part[1]
 
 
 def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
@@ -405,13 +392,9 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
     G = gamma_a + gamma_b, Lam = lambda_a + lambda_b, k in {0, 1, 2};
     everything is assembled in log space with one final exp.
     """
-    if a.qn.Z != b.qn.Z:
-        raise ValueError(
-            f"overlap requires matching nuclear charge, got Z = {a.qn.Z} and {b.qn.Z}"
-        )
-    la, lb = _check_part(part)
-    sign_a, log_a, poly_a = _part_data(a, la)
-    sign_b, log_b, poly_b = _part_data(b, lb)
+    _check_pair(a, b, part)
+    sign_a, log_a, poly_a = _part_data(a, part[0])
+    sign_b, log_b, poly_b = _part_data(b, part[1])
 
     big_g = a.gamma + b.gamma
     lam_sum = a.lam + b.lam
@@ -449,21 +432,16 @@ def overlap_quadrature(
     regularized upper-gamma tail Q(G+1, Lam R) under that level even for
     G of several hundred.
     """
-    if a.qn.Z != b.qn.Z:
-        raise ValueError(
-            f"overlap requires matching nuclear charge, got Z = {a.qn.Z} and {b.qn.Z}"
-        )
-    la, lb = _check_part(part)
-    idx_a = 0 if la == "g" else 1
-    idx_b = 0 if lb == "g" else 1
+    _check_pair(a, b, part)
+    idx = 0 if part == "gg" else 1
 
     big_g = a.gamma + b.gamma
     lam_sum = a.lam + b.lam
     r_max = (big_g + 40.0 + 12.0 * math.sqrt(big_g + 1.0)) / lam_sum
 
     def integrand(r):
-        va = eval_radial(a, r)[idx_a]
-        vb = eval_radial(b, r)[idx_b]
+        va = eval_radial(a, r)[idx]
+        vb = eval_radial(b, r)[idx]
         return r * r * va * vb
 
     return integrate_adaptive(integrand, 0.0, r_max, abs_tol=abs_tol)

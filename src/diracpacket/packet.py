@@ -44,7 +44,6 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
     Branch,
     CircularState,
-    OverlapSet,
     SupercriticalChargeError,
     fine_splitting,
     make_circular_state,
@@ -158,11 +157,20 @@ class Ket:
 class PacketTables:
     """Immutable precomputed coefficient tables for one packet.
 
-    Per-l arrays run over the window orbitals l = n - 1.  All observable
-    coefficient arrays already include the w_l^2 weighting, so evaluating
-    an observable is a dot product against phase factors.  Cross arrays
+    Per-l arrays run over the window orbitals l = n - 1; cross arrays
     (k_coef, omega_tilde) run over the orbitals with l + 2 still inside
-    the window.
+    the window.  Stored, each once:
+
+    - l_values, the energies e_plus, e_minus of the two partners and the
+      cancellation-free splitting omega (the phases of every observable);
+    - omega_tilde = E+(l) - E-(l+2) and k_coef, the cross-shell F'_l
+      correction to <sigma_x>, <sigma_y> with its weights folded in;
+    - the coefficients of A(t) (acf_*), of the component norms (norm*)
+      and of the spin series (s*); each already carries w_l^2 and the
+      radial integrals, so an observable is a dot product against phase
+      factors.  sy_sin equals sx_cos and is kept for bench/checks.py;
+    - kets, the stationary-state expansion behind the density and the
+      brute-force oracle; every CircularState of the packet is in it.
     """
 
     spec: PacketSpec
@@ -171,12 +179,6 @@ class PacketTables:
     e_plus: np.ndarray
     e_minus: np.ndarray
     omega: np.ndarray
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-    g_pm: np.ndarray
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    f_prime: np.ndarray
     omega_tilde: np.ndarray
     k_coef: np.ndarray
     acf_plus: np.ndarray
@@ -192,22 +194,7 @@ class PacketTables:
     sy_sin: np.ndarray
     sz_const: np.ndarray
     sz_cos: np.ndarray
-    states_plus: tuple[CircularState, ...]
-    states_minus: tuple[CircularState, ...]
     kets: tuple[Ket, ...] = field(repr=False)
-
-    def overlap_at(self, l: int) -> OverlapSet:
-        """The five same-l radial integrals at window orbital l."""
-        idx = int(np.searchsorted(self.l_values, l))
-        if idx >= len(self.l_values) or self.l_values[idx] != l:
-            raise ValueError(f"orbital l = {l} is not in the packet window")
-        return OverlapSet(
-            g_plus=float(self.g_plus[idx]),
-            g_minus=float(self.g_minus[idx]),
-            g_pm=float(self.g_pm[idx]),
-            f_plus=float(self.f_plus[idx]),
-            f_minus=float(self.f_minus[idx]),
-        )
 
 
 def _build_kets(
@@ -292,11 +279,12 @@ def build_tables(
         [fine_splitting(spec.Z, int(n), spec.constants) for n in n_values]
     )
 
+    # f_prime[i] = F'_l = <f+(l)|f-(l + 2)>, over the orbitals with l + 2
+    # still in the window, like every cross array.
     if nonrelativistic_radial:
-        ones = np.ones(count)
-        zeros = np.zeros(count)
-        g_plus, g_minus, g_pm = ones, ones.copy(), ones.copy()
-        f_plus, f_minus = zeros, zeros.copy()
+        g_plus = g_minus = g_pm = np.ones(count)
+        f_plus = f_minus = np.zeros(count)
+        f_prime = np.zeros(max(0, count - 2))
     else:
         sets = [overlap_set(sp, sm) for sp, sm in zip(states_plus, states_minus)]
         g_plus = np.array([o.g_plus for o in sets])
@@ -304,35 +292,22 @@ def build_tables(
         g_pm = np.array([o.g_pm for o in sets])
         f_plus = np.array([o.f_plus for o in sets])
         f_minus = np.array([o.f_minus for o in sets])
-
-    # Cross-shell small-component overlaps: f+(l) with f-(l + 2).
-    n_cross = max(0, count - 2)
-    f_prime = np.zeros(n_cross)
-    omega_tilde = np.zeros(n_cross)
-    k_coef = np.zeros(n_cross)
-    w = weights.w
-    for i in range(n_cross):
-        l = float(l_values[i])
-        if not nonrelativistic_radial:
-            f_prime[i] = overlap_closed_form(
-                states_plus[i], states_minus[i + 2], "ff"
-            )
-        omega_tilde[i] = e_plus[i] - e_minus[i + 2]
-        k_coef[i] = (
-            2.0
-            * a
-            * b
-            * w[i]
-            * w[i + 2]
-            * f_prime[i]
-            * math.sqrt(
-                (2.0 * l + 2.0)
-                * (2.0 * l + 4.0)
-                / ((2.0 * l + 3.0) * (2.0 * l + 5.0))
-            )
+        f_prime = np.array(
+            [
+                overlap_closed_form(sp, sm, "ff")
+                for sp, sm in zip(states_plus, states_minus[2:])
+            ]
         )
 
     lf = l_values.astype(float)
+    lc = lf[:-2]
+    w = weights.w
+    omega_tilde = e_plus[:-2] - e_minus[2:]
+    k_coef = (
+        2.0 * a * b * w[:-2] * w[2:] * f_prime
+        * np.sqrt((2.0 * lc + 2.0) * (2.0 * lc + 4.0) / ((2.0 * lc + 3.0) * (2.0 * lc + 5.0)))
+    )
+
     l1 = 2.0 * lf + 1.0
     l3 = 2.0 * lf + 3.0
     s2 = 2.0 * lf / (l1 * l1)
@@ -380,12 +355,6 @@ def build_tables(
         e_plus=_freeze(e_plus),
         e_minus=_freeze(e_minus),
         omega=_freeze(omega),
-        g_plus=_freeze(g_plus),
-        g_minus=_freeze(g_minus),
-        g_pm=_freeze(g_pm),
-        f_plus=_freeze(f_plus),
-        f_minus=_freeze(f_minus),
-        f_prime=_freeze(f_prime),
         omega_tilde=_freeze(omega_tilde),
         k_coef=_freeze(k_coef),
         acf_plus=_freeze(acf_plus),
@@ -401,8 +370,6 @@ def build_tables(
         sy_sin=_freeze(sy_sin),
         sz_const=_freeze(sz_const),
         sz_cos=_freeze(sz_cos),
-        states_plus=states_plus,
-        states_minus=states_minus,
         kets=kets,
     )
 
@@ -503,9 +470,10 @@ def spin_expect(tables: PacketTables, t, include_delta: bool = True):
     """
     arr = _as_time_array(t)
     flat = np.atleast_1d(arr)
-    ph_cos = np.cos(np.multiply.outer(flat, tables.omega))
+    phase = np.multiply.outer(flat, tables.omega)
+    ph_cos = np.cos(phase)
     sx = float(np.sum(tables.sx_const)) + ph_cos @ tables.sx_cos
-    sy = np.sin(np.multiply.outer(flat, tables.omega)) @ tables.sy_sin
+    sy = np.sin(phase) @ tables.sy_sin
     sz = float(np.sum(tables.sz_const)) + ph_cos @ tables.sz_cos
     if include_delta and tables.k_coef.size:
         phase = np.multiply.outer(flat, tables.omega_tilde)

@@ -2,12 +2,34 @@
 
 Table construction does quadrature-free closed-form work only, but the
 suite reuses the same handful of packets everywhere, so build each once
-per session.
+per session.  The hypothesis profile for the property tests lives here
+too.
 """
 
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from diracpacket import PacketSpec, build_tables
+
+# Property tests draw the same examples on every run and keep no example
+# database.
+settings.register_profile(
+    "diracpacket", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("diracpacket")
+
+
+def pytest_configure(config):
+    # Hypothesis caches the literals of local modules under its home
+    # directory, .hypothesis/ in the working tree unless told otherwise; it
+    # does so while collecting, before any fixture runs.
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture(scope="session")

@@ -219,14 +219,43 @@ def test_manifest_of_another_subcommand_rejected(tmp_path, capsys):
     assert "error:" in err and "'density'" in err and "'autocorr'" in err
 
 
-@pytest.mark.parametrize("first_line", ["# 5", "# [1]", '# "autocorr"', "# {bad", "[1, 2]"])
+@pytest.mark.parametrize(
+    "first_line", ["# 5", "# [1]", '# "autocorr"', "# {bad", "[1, 2]", b"\xff\xfe{}"]
+)
 def test_config_that_is_not_a_json_object_names_the_file(tmp_path, capsys, first_line):
     config = tmp_path / "odd.csv"
-    config.write_text(first_line + "\r\nt,re_A\r\n")
+    if isinstance(first_line, bytes):
+        config.write_bytes(first_line)  # not UTF-8
+    else:
+        config.write_text(first_line + "\r\nt,re_A\r\n")
     rc, out, err = run_cli(["autocorr", "--config", str(config)], capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and str(config) in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("autocorr", '{"sigma": null}'),
+        ("autocorr", '{"samples": [3]}'),
+        ("autocorr", '{"samples": 1e400}'),
+        ("autocorr", '{"sigma": true}'),
+        ("spin", '{"no_delta": "false"}'),
+        ("autocorr", '{"no_small": 1}'),
+        # an integer out would be opened as a file descriptor; this one
+        # cannot be open, so a regression cannot close the runner's stderr
+        ("autocorr", '{"out": 987654}'),
+    ],
+)
+def test_config_value_of_the_wrong_type_names_key_and_file(tmp_path, capsys, command, text):
+    config = tmp_path / "typed.json"
+    config.write_text(text)
+    (key,) = json.loads(text)
+    rc, out, err = run_cli([command, "--Z", "92", "--N", "4", "--config", str(config)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and str(config) in err and repr(key) in err
 
 
 def test_flag_of_another_subcommand_rejected(capsys):

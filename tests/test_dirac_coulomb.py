@@ -347,6 +347,8 @@ def test_overlap_input_validation():
         overlap_quadrature(a, b, "gg")
     with pytest.raises(ValueError):
         overlap_closed_form(a, a, "gf")
+    with pytest.raises(ValueError):
+        overlap_quadrature(a, a, "gf")
 
 
 def test_state_from_kappa_validation():

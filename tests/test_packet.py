@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from diracpacket import (
+    Branch,
     PacketSpec,
     PhysicalConstants,
     autocorrelation,
@@ -23,7 +24,9 @@ from diracpacket import (
     build_weights,
     component_norms,
     fine_splitting,
+    make_circular_state,
     overlap_closed_form,
+    overlap_set,
     small_norm,
     spin_expect,
     timescales,
@@ -94,12 +97,14 @@ def test_omega_is_fine_splitting(tables_u92_n20):
         )
 
 
-def test_overlap_at_accessor(tables_u92_n20):
-    ov = tables_u92_n20.overlap_at(19)
+def test_overlap_set_at_window_centre():
+    # the radial integrals behind the (92, 20) tables at l = 19
+    ov = overlap_set(
+        make_circular_state(92, 20, Branch.J_PLUS),
+        make_circular_state(92, 20, Branch.J_MINUS),
+    )
     assert 0.0 < ov.f_plus < ov.g_plus
     assert 0.0 < ov.g_pm < 1.0
-    with pytest.raises(ValueError):
-        tables_u92_n20.overlap_at(99)
 
 
 # --------------------------------------------------------- autocorrelation

@@ -1,0 +1,71 @@
+"""Property tests over the advertised domain: Z = 1..137, N = 2..200.
+
+Every packet drawn here is checked for the invariants that hold for any
+spin amplitudes and shell weights: A(0) = 1, |A| <= 1, unitarity of the
+four component norms, a spin vector no longer than 1, and a small-component
+population in [0, 1).  Specs that PacketSpec rejects (supercritical window
+shells) are skipped.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, reject
+from hypothesis import strategies as st
+
+from diracpacket import (
+    PacketSpec,
+    autocorrelation,
+    build_tables,
+    component_norms,
+    small_norm,
+    spin_expect,
+    timescales,
+)
+
+TOL = 1e-12
+
+
+def _spec(**kwargs) -> PacketSpec:
+    try:
+        return PacketSpec(**kwargs)
+    except ValueError:
+        reject()
+
+
+@given(
+    Z=st.integers(1, 137),
+    N=st.integers(2, 200),
+    sigma_g=st.floats(0.3, 4.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_packet_invariants(Z, N, sigma_g, theta):
+    spec = _spec(Z=Z, N=N, sigma_g=sigma_g, a=math.cos(theta), b=math.sin(theta))
+    tables = build_tables(spec)
+    t = np.linspace(0.0, 10.0 * timescales(Z, N).t_ls, 400)
+
+    amp = autocorrelation(tables, t)
+    assert abs(amp[0] - 1.0) <= TOL
+    assert np.max(np.abs(amp)) <= 1.0 + TOL
+
+    assert np.max(np.abs(sum(component_norms(tables, t)) - 1.0)) <= TOL
+
+    sx, sy, sz = spin_expect(tables, t)
+    assert np.max(np.sqrt(sx * sx + sy * sy + sz * sz)) <= 1.0 + TOL
+
+    assert 0.0 <= small_norm(tables).total < 1.0
+
+
+@given(
+    Z=st.integers(1, 137),
+    N=st.integers(2, 200),
+    shells=st.integers(1, 4),
+    below=st.integers(0, 3),
+)
+def test_cross_arrays_cover_orbitals_two_shells_apart(Z, N, shells, below):
+    below = min(below, shells - 1)
+    spec = _spec(Z=Z, N=N, window=(N - below, N - below + shells - 1))
+    tables = build_tables(spec)
+    assert len(tables.l_values) == shells
+    assert len(tables.k_coef) == len(tables.omega_tilde) == max(0, shells - 2)
+    assert abs(autocorrelation(tables, 0.0) - 1.0) <= TOL
