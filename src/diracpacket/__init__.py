@@ -28,11 +28,8 @@ from .dirac_coulomb import (
     bound_energy,
     eval_radial,
     fine_splitting,
-    fine_splitting_leading_order,
-    kappa_of,
     make_circular_state,
     overlap_closed_form,
-    overlap_quadrature,
     overlap_set,
     state_from_kappa,
 )
@@ -42,17 +39,13 @@ from .packet import (
     PacketTables,
     SmallNorm,
     TimeScales,
-    Weights,
     autocorrelation,
-    autocorrelation_oracle,
     build_tables,
-    build_weights,
     component_norms,
     small_norm,
     spin_expect,
     timescales,
 )
-from .quadrature import QuadratureAccuracyError, integrate_adaptive
 from .specfun import legendre_norm, sph_harm
 
 __version__ = "0.1.0"
@@ -75,11 +68,8 @@ __all__ = [
     "bound_energy",
     "eval_radial",
     "fine_splitting",
-    "fine_splitting_leading_order",
-    "kappa_of",
     "make_circular_state",
     "overlap_closed_form",
-    "overlap_quadrature",
     "overlap_set",
     "state_from_kappa",
     "Ket",
@@ -87,17 +77,12 @@ __all__ = [
     "PacketTables",
     "SmallNorm",
     "TimeScales",
-    "Weights",
     "autocorrelation",
-    "autocorrelation_oracle",
     "build_tables",
-    "build_weights",
     "component_norms",
     "small_norm",
     "spin_expect",
     "timescales",
-    "QuadratureAccuracyError",
-    "integrate_adaptive",
     "legendre_norm",
     "sph_harm",
     "__version__",

@@ -155,7 +155,8 @@ def _config_value_ok(key: str, value) -> bool:
     flag = _FLAGS[key]
     if "action" in flag:
         return isinstance(value, bool)
-    if isinstance(value, bool):
+    # int(2.5) would pass, but argparse refuses --samples 2.5 and 3.0 alike.
+    if isinstance(value, bool) or (flag.get("type") is int and isinstance(value, float)):
         return False
     try:
         flag.get("type", str)(value)

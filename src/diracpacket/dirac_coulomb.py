@@ -56,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .quadrature import integrate_adaptive
 
 _LN4 = math.log(4.0)
 
@@ -80,19 +79,6 @@ class SupercriticalChargeError(ValueError):
         self.kappa = kappa
 
 
-def kappa_of(l: int, branch: Branch) -> int:
-    """Dirac angular eigenvalue of the circular partner at orbital l."""
-    if l < 0:
-        raise ValueError(f"require l >= 0, got {l!r}")
-    if branch is Branch.J_PLUS:
-        return -(l + 1)
-    if branch is Branch.J_MINUS:
-        if l < 1:
-            raise ValueError("the j_minus partner needs l >= 1 (j = l - 1/2 > 0)")
-        return l
-    raise ValueError(f"unknown branch {branch!r}")
-
-
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Complete label of one bound state used in this package."""
@@ -104,28 +90,15 @@ class QuantumNumbers:
     kappa: int
     n_prime: int
 
-    @classmethod
-    def circular(cls, Z: int, n: int, branch: Branch) -> "QuantumNumbers":
-        if n < 1:
-            raise ValueError(f"require n >= 1, got {n!r}")
-        l = n - 1
-        kappa = kappa_of(l, branch)
-        n_prime = 0 if branch is Branch.J_PLUS else 1
-        return cls(Z=Z, n=n, l=l, branch=branch, kappa=kappa, n_prime=n_prime)
-
-
-def _xi(Z: int, constants: PhysicalConstants) -> float:
-    if not isinstance(Z, (int, np.integer)) or Z < 1:
-        raise ValueError(f"require integer Z >= 1, got {Z!r}")
-    return float(Z) * constants.alpha
-
 
 def _level(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants):
     """(xi, gamma, d, N) of the bound state (n', kappa): d = n' + gamma and
     N = hypot(d, xi), after checking that the state exists."""
     if n_prime < 0:
         raise ValueError(f"require n_prime >= 0, got {n_prime!r}")
-    xi = _xi(Z, constants)
+    if not isinstance(Z, (int, np.integer)) or Z < 1:
+        raise ValueError(f"require integer Z >= 1, got {Z!r}")
+    xi = float(Z) * constants.alpha
     if not isinstance(kappa, (int, np.integer)) or kappa == 0:
         raise ValueError(f"kappa must be a nonzero integer, got {kappa!r}")
     if xi >= abs(kappa):
@@ -209,23 +182,6 @@ def fine_splitting(
             * (e_plus + e_minus)
         )
     )
-
-
-def fine_splitting_leading_order(
-    Z: int,
-    N: int,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """Leading-order splitting xi^4 / (2 N^5).
-
-    Note the scaling is quartic in xi = Z alpha (a fine-structure effect),
-    not quadratic; the exact value from :func:`fine_splitting` approaches
-    this from above as N grows.
-    """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"fine splitting needs a shell N >= 2, got {N!r}")
-    xi = _xi(Z, constants)
-    return xi**4 / (2.0 * float(N) ** 5)
 
 
 @dataclass(frozen=True)
@@ -331,9 +287,20 @@ def make_circular_state(
     branch: Branch,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> CircularState:
-    """Normalized circular bound state at shell n: l = n - 1, given partner."""
-    qn = QuantumNumbers.circular(Z, n, branch)
-    return state_from_kappa(Z, qn.kappa, qn.n_prime, constants)
+    """Normalized circular bound state at shell n: l = n - 1, given partner.
+
+    j_plus is (kappa = -n, n' = 0); j_minus is (kappa = n - 1, n' = 1) and
+    needs n >= 2.
+    """
+    if n < 1:
+        raise ValueError(f"require n >= 1, got {n!r}")
+    if branch is Branch.J_PLUS:
+        return state_from_kappa(Z, -n, 0, constants)
+    if branch is Branch.J_MINUS:
+        if n < 2:
+            raise ValueError("the j_minus partner needs l >= 1 (j = l - 1/2 > 0)")
+        return state_from_kappa(Z, n - 1, 1, constants)
+    raise ValueError(f"unknown branch {branch!r}")
 
 
 def eval_radial(state: CircularState, r):
@@ -416,35 +383,6 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
     )
     bracket = q0 + (big_g + 1.0) / lam_sum * (q1 + q2 * (big_g + 2.0) / lam_sum)
     return sign_a * sign_b * bracket * math.exp(base)
-
-
-def overlap_quadrature(
-    a: CircularState,
-    b: CircularState,
-    part: str,
-    abs_tol: float = 1e-13,
-) -> float:
-    """Same integral as :func:`overlap_closed_form` by adaptive quadrature.
-
-    The truncation radius covers the Gamma-moment mass up to a relative
-    tail below 1e-20 for every subcritical state pair: the integrand decays
-    like r^G e^(-Lam r), and [0, (G + 40 + 12 sqrt(G + 1)) / Lam] leaves a
-    regularized upper-gamma tail Q(G+1, Lam R) under that level even for
-    G of several hundred.
-    """
-    _check_pair(a, b, part)
-    idx = 0 if part == "gg" else 1
-
-    big_g = a.gamma + b.gamma
-    lam_sum = a.lam + b.lam
-    r_max = (big_g + 40.0 + 12.0 * math.sqrt(big_g + 1.0)) / lam_sum
-
-    def integrand(r):
-        va = eval_radial(a, r)[idx]
-        vb = eval_radial(b, r)[idx]
-        return r * r * va * vb
-
-    return integrate_adaptive(integrand, 0.0, r_max, abs_tol=abs_tol)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from .dirac_coulomb import (
     fine_splitting,
     make_circular_state,
     overlap_closed_form,
-    overlap_quadrature,
     overlap_set,
 )
 
@@ -87,7 +86,8 @@ class PacketSpec:
         if not (math.isfinite(self.sigma_g) and self.sigma_g > 0.0):
             raise ValueError(f"require sigma_g > 0, got {self.sigma_g!r}")
         norm = self.a * self.a + self.b * self.b
-        if abs(norm - 1.0) > 1e-14:
+        # Negated so that a NaN amplitude, whose norm compares false, fails.
+        if not abs(norm - 1.0) <= 1e-14:
             raise ValueError(
                 f"spin amplitudes must satisfy a^2 + b^2 = 1, got {norm!r}"
             )
@@ -122,9 +122,6 @@ class Weights:
 
     n: np.ndarray
     w: np.ndarray
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(k): float(v) for k, v in zip(self.n, self.w)}
 
 
 def build_weights(spec: PacketSpec) -> Weights:
@@ -169,8 +166,8 @@ class PacketTables:
       and of the spin series (s*); each already carries w_l^2 and the
       radial integrals, so an observable is a dot product against phase
       factors.  sy_sin equals sx_cos and is kept for bench/checks.py;
-    - kets, the stationary-state expansion behind the density and the
-      brute-force oracle; every CircularState of the packet is in it.
+    - kets, the stationary-state expansion behind the density; every
+      CircularState of the packet is in it.
     """
 
     spec: PacketSpec
@@ -396,51 +393,6 @@ def autocorrelation(tables: PacketTables, t):
     return out.reshape(arr.shape)
 
 
-def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
-    """Brute-force A(t) from the ket expansion and radial quadrature.
-
-    Walks every same-component ket pair, keeps the pairs whose angular
-    labels coincide (orthonormality kills everything else), and evaluates
-    each radial overlap by adaptive quadrature instead of the closed form.
-    Shares no overlap code path with :func:`autocorrelation`, so agreement
-    binds the coefficient tables, the closed-form integrals, and the
-    phase assignments at once.  Meant for small windows.
-    """
-    arr = _as_time_array(t)
-    flat = np.atleast_1d(arr)
-
-    cache: dict[tuple, float] = {}
-
-    def radial(ka: Ket, kb: Ket) -> float:
-        if ka.radial_part != kb.radial_part:
-            raise ValueError("mixed g/f radial overlap should never arise")
-        qa, qb = ka.state.qn, kb.state.qn
-        key_a = (qa.kappa, qa.n_prime, ka.radial_part)
-        key_b = (qb.kappa, qb.n_prime, kb.radial_part)
-        key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-        if key not in cache:
-            cache[key] = overlap_quadrature(
-                ka.state, kb.state, ka.radial_part * 2, abs_tol=abs_tol
-            )
-        return cache[key]
-
-    out = np.zeros(flat.shape, dtype=complex)
-    kets = tables.kets
-    for ia, ka in enumerate(kets):
-        for kb in kets:
-            if (
-                ka.component != kb.component
-                or ka.l_ang != kb.l_ang
-                or ka.m_ang != kb.m_ang
-            ):
-                continue
-            amp = np.conj(ka.coef) * kb.coef * radial(ka, kb)
-            out += amp * np.exp(-1j * kb.state.energy * flat)
-    if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
-
-
 def component_norms(tables: PacketTables, t):
     """Equal-time norms (<c1|c1>, <c2|c2>, <c3|c3>, <c4|c4>) at time t.
 
@@ -536,8 +488,6 @@ class _Jet:
         c[0] += other
         return _Jet(c)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, _Jet):
             return _Jet(self.c - other.c)
@@ -558,8 +508,6 @@ class _Jet:
         for k in range(n):
             out[k] = np.dot(self.c[: k + 1], other.c[k::-1])
         return _Jet(out)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, _Jet):

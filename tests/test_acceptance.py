@@ -26,7 +26,6 @@ from diracpacket import (
     PacketSpec,
     PlaneGridSpec,
     autocorrelation,
-    autocorrelation_oracle,
     bound_energy,
     build_tables,
     component_norms,
@@ -34,12 +33,12 @@ from diracpacket import (
     fine_splitting,
     make_circular_state,
     overlap_closed_form,
-    overlap_quadrature,
     small_norm,
     spin_expect,
     state_from_kappa,
     timescales,
 )
+from oracles import autocorrelation_oracle, overlap_quadrature
 
 ALPHA = 1.0 / 137.036
 

@@ -246,6 +246,10 @@ def test_config_that_is_not_a_json_object_names_the_file(tmp_path, capsys, first
         # an integer out would be opened as a file descriptor; this one
         # cannot be open, so a regression cannot close the runner's stderr
         ("autocorr", '{"out": 987654}'),
+        # argparse refuses a non-integral --samples, so the config must too
+        ("autocorr", '{"samples": 2.5}'),
+        ("density", '{"grid": 16.5}'),
+        ("timescales", '{"kmax": 3.0}'),
     ],
 )
 def test_config_value_of_the_wrong_type_names_key_and_file(tmp_path, capsys, command, text):
@@ -340,6 +344,8 @@ def test_parameter_preconditions(capsys):
         ["autocorr", "--Z", "92", "--N", "4", "--a", "1", "--b", "1"], capsys
     )
     assert rc == 2
+    rc, _, err = run_cli(["autocorr", "--Z", "92", "--N", "4", "--a", "nan"], capsys)
+    assert rc == 2 and "a^2 + b^2 = 1" in err
     rc, _, err = run_cli(["autocorr", "--N", "4"], capsys)
     assert rc == 2 and "Z is required" in err
 

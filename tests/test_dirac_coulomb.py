@@ -19,26 +19,33 @@ from diracpacket import (
     bound_energy,
     eval_radial,
     fine_splitting,
-    fine_splitting_leading_order,
-    kappa_of,
     make_circular_state,
     overlap_closed_form,
-    overlap_quadrature,
     overlap_set,
     state_from_kappa,
 )
+from oracles import overlap_quadrature
 
 ALPHA = 1.0 / 137.036
 
 
-def test_kappa_of():
-    assert kappa_of(0, Branch.J_PLUS) == -1
-    assert kappa_of(3, Branch.J_PLUS) == -4
-    assert kappa_of(3, Branch.J_MINUS) == 3
-    with pytest.raises(ValueError):
-        kappa_of(0, Branch.J_MINUS)
-    with pytest.raises(ValueError):
-        kappa_of(-1, Branch.J_PLUS)
+def test_make_circular_state_labels():
+    # j_plus at shell n is (kappa = -n, n' = 0), j_minus is (kappa = n - 1, n' = 1)
+    for n, branch, kappa, n_prime in [
+        (1, Branch.J_PLUS, -1, 0),
+        (4, Branch.J_PLUS, -4, 0),
+        (4, Branch.J_MINUS, 3, 1),
+    ]:
+        qn = make_circular_state(92, n, branch).qn
+        assert (qn.n, qn.l, qn.branch, qn.kappa, qn.n_prime) == (
+            n, n - 1, branch, kappa, n_prime
+        )
+    with pytest.raises(ValueError, match="j_minus partner needs l >= 1"):
+        make_circular_state(92, 1, Branch.J_MINUS)
+    with pytest.raises(ValueError, match="require n >= 1"):
+        make_circular_state(92, 0, Branch.J_PLUS)
+    with pytest.raises(ValueError, match="unknown branch"):
+        make_circular_state(92, 4, "j_plus")
 
 
 def test_ground_state_energy_sommerfeld():
@@ -145,11 +152,12 @@ def test_naive_subtraction_loses_digits():
 
 
 def test_fine_splitting_leading_order_ratio():
-    # exact / leading -> N / (N - 1) at weak coupling, approaching 1 in N
+    # exact / leading -> N / (N - 1) at weak coupling, approaching 1 in N;
+    # the leading order xi^4 / (2 N^5) is quartic in xi = Z alpha
     for N in (5, 10, 20, 40):
-        ratio = fine_splitting(1, N) / fine_splitting_leading_order(1, N)
+        ratio = fine_splitting(1, N) / (ALPHA**4 / (2.0 * N**5))
         assert ratio == pytest.approx(N / (N - 1.0), rel=1e-3)
-    assert fine_splitting(1, 200) / fine_splitting_leading_order(1, 200) < 1.006
+    assert fine_splitting(1, 200) / (ALPHA**4 / (2.0 * 200**5)) < 1.006
 
 
 def test_supercritical_rejected():

@@ -9,6 +9,7 @@ energy derivatives.
 import cmath
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -19,9 +20,7 @@ from diracpacket import (
     PacketSpec,
     PhysicalConstants,
     autocorrelation,
-    autocorrelation_oracle,
     build_tables,
-    build_weights,
     component_norms,
     fine_splitting,
     make_circular_state,
@@ -31,6 +30,8 @@ from diracpacket import (
     spin_expect,
     timescales,
 )
+from diracpacket.packet import build_weights
+from oracles import autocorrelation_oracle
 
 
 # ---------------------------------------------------------------- weights
@@ -50,7 +51,8 @@ def test_default_window():
 
 
 def test_gaussian_profile_ratio():
-    w = build_weights(PacketSpec(Z=92, N=20, sigma_g=2.0)).as_dict()
+    weights = build_weights(PacketSpec(Z=92, N=20, sigma_g=2.0))
+    w = dict(zip(weights.n.tolist(), weights.w.tolist()))
     # |w_n|^2 is the Gaussian, so w21^2/w20^2 = exp(-1/(2 sigma^2))
     assert w[21] ** 2 / w[20] ** 2 == pytest.approx(math.exp(-1.0 / 8.0), rel=1e-12)
     assert w[19] ** 2 / w[20] ** 2 == pytest.approx(math.exp(-1.0 / 8.0), rel=1e-12)
@@ -65,6 +67,8 @@ def test_spec_validation():
         PacketSpec(Z=92, N=20, sigma_g=0.0)
     with pytest.raises(ValueError):
         PacketSpec(Z=92, N=20, a=1.0, b=1.0)  # a^2 + b^2 != 1
+    with pytest.raises(ValueError):
+        PacketSpec(Z=92, N=20, a=math.nan, b=0.5)
     with pytest.raises(ValueError):
         PacketSpec(Z=92, N=20, window=(1, 30))
     with pytest.raises(ValueError):
@@ -472,3 +476,19 @@ def test_nonrelativistic_radial_flag():
     # phases unchanged: the splitting frequencies are still relativistic
     full = build_tables(spec)
     assert np.allclose(tab.omega, full.omega, rtol=0.0, atol=0.0)
+
+
+# ------------------------------------------------------ README quick start
+
+
+def test_readme_quick_start_runs():
+    """The documented import surface and example keep working."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    recurrence = namespace["recurrence"]
+    assert recurrence.shape == (2001,)
+    assert recurrence[0] == pytest.approx(1.0, abs=1e-12)
+    assert float(np.max(recurrence)) <= 1.0 + 1e-12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diracpacket import QuadratureAccuracyError, integrate_adaptive
+from oracles import QuadratureAccuracyError, integrate_adaptive
 
 
 def test_polynomial_exact_in_one_panel():
