@@ -51,22 +51,6 @@ from .packet import (
 
 _UNITS = ("natural", "kepler", "tls", "seconds")
 
-_DEFAULTS = {
-    "sigma": 2.0,
-    "a": math.sqrt(0.5),
-    "b": math.sqrt(0.5),
-    "tmin": 0.0,
-    "tmax": 10.0,
-    "samples": 2000,
-    "unit": "tls",
-    "time": 0.0,
-    "grid": 256,
-    "extent": 1.6,
-    "kmax": 4,
-    "no_delta": False,
-    "no_small": False,
-}
-
 # Parameters echoed into the manifest, per subcommand.  Everything that
 # influences the output bytes is listed, and nothing else: these are also
 # the subcommand's only flags and config keys.
@@ -167,7 +151,7 @@ def _config_value_ok(key: str, value) -> bool:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
-    merged = {key: _DEFAULTS.get(key) for key in _MANIFEST_KEYS[args.command]}
+    merged = {key: _FLAGS[key].get("default") for key in _MANIFEST_KEYS[args.command]}
     merged["out"] = None
     if args.config is not None:
         config = _load_config(args.config, args.command)
@@ -304,9 +288,9 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     extra = {
         "r_N_compton": r_n,
         "t_natural": t_nat,
-        "t_kepler": scales.to_kepler(t_nat),
-        "t_tls": scales.to_tls(t_nat),
-        "t_seconds": scales.to_seconds(t_nat),
+        "t_kepler": t_nat / scales.t_cl,
+        "t_tls": t_nat / scales.t_ls,
+        "t_seconds": t_nat * scales.constants.compton_time_seconds,
     }
     return extra, header, rows
 
@@ -317,10 +301,7 @@ def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     rows = []
     for Z in z_values:
         for N in n_values:
-            spec = PacketSpec(
-                Z=Z, N=N, sigma_g=float(cfg["sigma"]), a=float(cfg["a"]), b=float(cfg["b"])
-            )
-            norm = small_norm(build_tables(spec))
+            norm = small_norm(build_tables(_packet_spec(dict(cfg, Z=Z, N=N))))
             rows.append((Z, N, norm.c3_norm, norm.c4_norm, norm.total))
     header = ["Z", "N", "c3_norm", "c4_norm", "total"]
     return {}, header, rows
@@ -335,25 +316,28 @@ _COMMANDS = {
 }
 
 
+# Every flag's argparse settings and the default that a run without the
+# flag or config key uses (echoed into the manifest).
 _FLAGS = {
     "Z": dict(help="nuclear charge, or START:STOP[:STEP] where sweepable"),
     "N": dict(help="mean principal quantum number, or a range where sweepable"),
-    "sigma": dict(type=float, help="Gaussian width of |w_n|^2 (default 2.0)"),
-    "a": dict(type=float, help="spin-up amplitude (default 1/sqrt 2)"),
-    "b": dict(type=float, help="spin-down amplitude (default 1/sqrt 2)"),
-    "tmin": dict(type=float, help="series start time in --unit (default 0)"),
-    "tmax": dict(type=float, help="series end time in --unit (default 10)"),
-    "samples": dict(type=int, help="number of time samples (default 2000)"),
-    "unit": dict(choices=_UNITS, help="time unit for inputs/outputs (default tls)"),
-    "time": dict(type=float, help="sample time in --unit (default 0)"),
-    "grid": dict(type=int, help="nodes per axis (default 256)"),
-    "extent": dict(type=float, help="half-width in r_N units (default 1.6)"),
-    "kmax": dict(type=int, help="highest derivative order (default 4)"),
+    "sigma": dict(type=float, default=2.0, help="Gaussian width of |w_n|^2"),
+    "a": dict(type=float, default=math.sqrt(0.5), help="spin-up amplitude"),
+    "b": dict(type=float, default=math.sqrt(0.5), help="spin-down amplitude"),
+    "tmin": dict(type=float, default=0.0, help="series start time in --unit"),
+    "tmax": dict(type=float, default=10.0, help="series end time in --unit"),
+    "samples": dict(type=int, default=2000, help="number of time samples"),
+    "unit": dict(choices=_UNITS, default="tls", help="time unit for inputs/outputs"),
+    "time": dict(type=float, default=0.0, help="sample time in --unit"),
+    "grid": dict(type=int, default=256, help="nodes per axis"),
+    "extent": dict(type=float, default=1.6, help="half-width in r_N units"),
+    "kmax": dict(type=int, default=4, help="highest derivative order"),
     "no_delta": dict(
-        action="store_const", const=True, help="drop the cross-shell correction terms"
+        action="store_const", const=True, default=False,
+        help="drop the cross-shell correction terms",
     ),
     "no_small": dict(
-        action="store_const", const=True,
+        action="store_const", const=True, default=False,
         help="diagnostics: replace radial integrals by their limit values "
         "(large-component overlaps 1, small-component integrals 0)",
     ),
@@ -377,7 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         for key in _MANIFEST_KEYS[name]:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+            flag = dict(_FLAGS[key])
+            if "default" in flag:
+                # None marks "not given", so a config value can fill it.
+                flag["help"] += f" (default {flag['default']})"
+                flag["default"] = None
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
         p.add_argument("--config", help="JSON config file, or a CSV written by this subcommand")
         p.add_argument("--out", help="output CSV path (default: stdout)")
     return parser

@@ -53,37 +53,28 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
     shape = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
     t = float(t)
 
-    theta_b = np.broadcast_to(theta, shape)
-    phi_b = np.broadcast_to(phi, shape)
+    flat_t = np.broadcast_to(theta, shape).ravel()
+    flat_p = np.broadcast_to(phi, shape).ravel()
 
-    radial_cache: dict[tuple[int, int], tuple] = {}
-    angular_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def radial_pair(state):
-        key = (state.qn.kappa, state.qn.n_prime)
-        if key not in radial_cache:
-            radial_cache[key] = eval_radial(state, r)
-        return radial_cache[key]
-
-    def angular(l_ang: int, m_ang: int):
-        key = (l_ang, m_ang)
-        if key not in angular_cache:
-            flat_t = theta_b.ravel()
-            flat_p = phi_b.ravel()
-            vals = np.fromiter(
-                (sph_harm(l_ang, m_ang, tt, pp) for tt, pp in zip(flat_t, flat_p)),
-                dtype=complex,
-                count=flat_t.size,
-            )
-            angular_cache[key] = vals.reshape(shape)
-        return angular_cache[key]
+    # Distinct radial profiles and harmonics: many kets share each.
+    kets = tables.kets
+    states = {(k.state.qn.kappa, k.state.qn.n_prime): k.state for k in kets}
+    radial = {key: eval_radial(state, r) for key, state in states.items()}
+    harmonics = {
+        (l, m): np.fromiter(
+            (sph_harm(l, m, tt, pp) for tt, pp in zip(flat_t, flat_p)),
+            dtype=complex,
+            count=flat_t.size,
+        ).reshape(shape)
+        for l, m in {(k.l_ang, k.m_ang) for k in kets}
+    }
 
     out = [np.zeros(shape, dtype=complex) for _ in range(4)]
-    for ket in tables.kets:
-        g, f = radial_pair(ket.state)
+    for ket in kets:
+        g, f = radial[(ket.state.qn.kappa, ket.state.qn.n_prime)]
         rad = g if ket.radial_part == "g" else f
         prefactor = ket.coef * cmath.exp(-1j * ket.state.energy * t)
-        out[ket.component - 1] += prefactor * rad * angular(ket.l_ang, ket.m_ang)
+        out[ket.component - 1] += prefactor * rad * harmonics[(ket.l_ang, ket.m_ang)]
 
     if np.ndim(r_in) == 0 and np.ndim(theta_in) == 0 and np.ndim(phi_in) == 0:
         return tuple(complex(c[()]) for c in out)

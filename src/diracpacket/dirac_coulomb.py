@@ -42,9 +42,11 @@ phase choice the cross-branch large-component overlap tends to +1 in the
 nonrelativistic limit, matching the construction of spin-polarized
 circular packets out of the two partners.
 
-All prefactors are stored as (sign, log magnitude) pairs and every
-evaluation assembles one exponent before a single exp call, so states up
-to n of a few hundred evaluate without intermediate overflow.
+Each component is stored as a log magnitude of its prefactor and a
+polynomial whose coefficients carry the component's sign (the -1 of f
+for n' = 0, the flip of g for n' = 1), and every evaluation assembles one
+exponent before a single exp call, so states up to n of a few hundred
+evaluate without intermediate overflow.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ def fine_splitting(
 class CircularState:
     """One normalized Dirac-Coulomb bound state with polynomial degree <= 1.
 
-    Radial data is stored in assembled-log form: value = sign * exp(log_pref
-    + (gamma - 1) ln x - x/2) * (poly[0] + poly[1] x) with x = 2 lambda r.
+    Radial data is stored in assembled-log form: value = exp(log_pref
+    + (gamma - 1) ln x - x/2) * (poly[0] + poly[1] x) with x = 2 lambda r;
+    the polynomial carries the component's sign.
     Instances are immutable; construct through :func:`make_circular_state`
     (circular labels) or :func:`state_from_kappa` (general kappa, n' <= 1).
     """
@@ -200,10 +203,8 @@ class CircularState:
     energy: float
     lam: float
     big_n: float
-    g_sign: float
     g_log_prefactor: float
     g_poly: tuple[float, float]
-    f_sign: float
     f_log_prefactor: float
     f_poly: tuple[float, float]
 
@@ -241,8 +242,7 @@ def state_from_kappa(
 
     if n_prime == 0:
         g_poly = (beta, 0.0)
-        f_poly = (beta, 0.0)
-        g_sign, f_sign = 1.0, -1.0
+        f_poly = (-beta, -0.0)
     else:
         c1 = -beta / c
         if kappa > 0:
@@ -252,11 +252,11 @@ def state_from_kappa(
             c0_g = -2.0 * xi * xi / ((gamma + kappa) * (big_n + 1.0 + kappa))
         else:
             c0_g = beta - 1.0
-        g_poly = (c0_g, c1)
-        f_poly = (beta + 1.0, c1)
         # Phase convention: large component positive at large r.  The
-        # leading coefficient -beta/c is negative, so flip the whole state.
-        g_sign, f_sign = -1.0, 1.0
+        # leading coefficient -beta/c is negative, so flip the whole state;
+        # with the -1 of f that leaves only g negated.
+        g_poly = (-c0_g, -c1)
+        f_poly = (beta + 1.0, c1)
 
     # n_prime = 1 with kappa < 0 is the one-node j = l + 1/2 state: not
     # circular, but valid.
@@ -272,10 +272,8 @@ def state_from_kappa(
         energy=energy,
         lam=lam,
         big_n=big_n,
-        g_sign=g_sign,
         g_log_prefactor=g_log,
         g_poly=g_poly,
-        f_sign=f_sign,
         f_log_prefactor=f_log,
         f_poly=f_poly,
     )
@@ -319,12 +317,8 @@ def eval_radial(state: CircularState, r):
     x = 2.0 * state.lam * arr
     log_x = np.log(x)
     shape = (state.gamma - 1.0) * log_x - 0.5 * x
-    g = state.g_sign * np.exp(state.g_log_prefactor + shape) * (
-        state.g_poly[0] + state.g_poly[1] * x
-    )
-    f = state.f_sign * np.exp(state.f_log_prefactor + shape) * (
-        state.f_poly[0] + state.f_poly[1] * x
-    )
+    g = np.exp(state.g_log_prefactor + shape) * (state.g_poly[0] + state.g_poly[1] * x)
+    f = np.exp(state.f_log_prefactor + shape) * (state.f_poly[0] + state.f_poly[1] * x)
     if np.ndim(r) == 0:
         return float(g), float(f)
     return g, f
@@ -332,10 +326,8 @@ def eval_radial(state: CircularState, r):
 
 def _part_data(state: CircularState, letter: str):
     if letter == "g":
-        return state.g_sign, state.g_log_prefactor, state.g_poly
-    if letter == "f":
-        return state.f_sign, state.f_log_prefactor, state.f_poly
-    raise ValueError(f"radial part must be 'g' or 'f', got {letter!r}")
+        return state.g_log_prefactor, state.g_poly
+    return state.f_log_prefactor, state.f_poly
 
 
 def _check_pair(a: CircularState, b: CircularState, part: str) -> None:
@@ -360,8 +352,8 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
     everything is assembled in log space with one final exp.
     """
     _check_pair(a, b, part)
-    sign_a, log_a, poly_a = _part_data(a, part[0])
-    sign_b, log_b, poly_b = _part_data(b, part[1])
+    log_a, poly_a = _part_data(a, part[0])
+    log_b, poly_b = _part_data(b, part[1])
 
     big_g = a.gamma + b.gamma
     lam_sum = a.lam + b.lam
@@ -382,7 +374,7 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
         - (big_g + 1.0) * math.log(lam_sum)
     )
     bracket = q0 + (big_g + 1.0) / lam_sum * (q1 + q2 * (big_g + 2.0) / lam_sum)
-    return sign_a * sign_b * bracket * math.exp(base)
+    return bracket * math.exp(base)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ set by the amplitude pair (a, b) with a^2 + b^2 = 1: a multiplies the
 stretched state |l, m_s = +1/2> channel and b the |l, m_s = -1/2> channel,
 which decomposes into both partners,
 
-    |l>|down> = (1 / (2l+1)) |j+> + sqrt(2l (2l+1)) / (2l+1) |j->.
+    |l>|down> = (1 / sqrt(2l+1)) |j+> + sqrt(2l (2l+1)) / (2l+1) |j->.
 
 Per window orbital l the four spinor components of the packet are (with
 x-polarized default a = b = 1/sqrt(2), w_l the shell weight, and
@@ -44,7 +44,6 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
     Branch,
     CircularState,
-    SupercriticalChargeError,
     fine_splitting,
     make_circular_state,
     overlap_closed_form,
@@ -83,8 +82,11 @@ class PacketSpec:
             raise ValueError(f"require integer Z >= 1, got {self.Z!r}")
         if not isinstance(self.N, (int, np.integer)) or self.N < 2:
             raise ValueError(f"require integer centroid shell N >= 2, got {self.N!r}")
-        if not (math.isfinite(self.sigma_g) and self.sigma_g > 0.0):
-            raise ValueError(f"require sigma_g > 0, got {self.sigma_g!r}")
+        # 5 sigma_g sets the default window, so it must be finite too.
+        if not (math.isfinite(5.0 * self.sigma_g) and self.sigma_g > 0.0):
+            raise ValueError(
+                f"require sigma_g > 0 with 5 sigma_g finite, got {self.sigma_g!r}"
+            )
         norm = self.a * self.a + self.b * self.b
         # Negated so that a NaN amplitude, whose norm compares false, fails.
         if not abs(norm - 1.0) <= 1e-14:
@@ -97,6 +99,8 @@ class PacketSpec:
                 self, "window", (max(2, self.N - half), self.N + half)
             )
         n_min, n_max = self.window
+        if not all(isinstance(n, (int, np.integer)) for n in self.window):
+            raise ValueError(f"window bounds must be integers, got {self.window!r}")
         if n_min > n_max:
             raise ValueError(f"empty shell window {self.window!r}")
         if n_min < 2:
@@ -154,25 +158,25 @@ class Ket:
 class PacketTables:
     """Immutable precomputed coefficient tables for one packet.
 
-    Per-l arrays run over the window orbitals l = n - 1; cross arrays
-    (k_coef, omega_tilde) run over the orbitals with l + 2 still inside
-    the window.  Stored, each once:
+    Per-l arrays run over the window orbitals l = weights.n - 1; cross
+    arrays (k_coef, omega_tilde) run over the orbitals with l + 2 still
+    inside the window.  Stored, each once:
 
-    - l_values, the energies e_plus, e_minus of the two partners and the
+    - the energies e_plus, e_minus of the two partners and the
       cancellation-free splitting omega (the phases of every observable);
     - omega_tilde = E+(l) - E-(l+2) and k_coef, the cross-shell F'_l
       correction to <sigma_x>, <sigma_y> with its weights folded in;
     - the coefficients of A(t) (acf_*), of the component norms (norm*)
       and of the spin series (s*); each already carries w_l^2 and the
       radial integrals, so an observable is a dot product against phase
-      factors.  sy_sin equals sx_cos and is kept for bench/checks.py;
+      factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos.
+      sy_sin equals sx_cos and is kept for bench/checks.py;
     - kets, the stationary-state expansion behind the density; every
       CircularState of the packet is in it.
     """
 
     spec: PacketSpec
     weights: Weights
-    l_values: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
     omega: np.ndarray
@@ -181,7 +185,6 @@ class PacketTables:
     acf_plus: np.ndarray
     acf_minus: np.ndarray
     norm1_const: np.ndarray
-    norm1_cos: np.ndarray
     norm2_const: np.ndarray
     norm2_cos: np.ndarray
     norm3: np.ndarray
@@ -269,7 +272,6 @@ def build_tables(
     )
 
     count = len(n_values)
-    l_values = n_values - 1
     e_plus = np.array([s.energy for s in states_plus])
     e_minus = np.array([s.energy for s in states_minus])
     omega = np.array(
@@ -296,7 +298,7 @@ def build_tables(
             ]
         )
 
-    lf = l_values.astype(float)
+    lf = (n_values - 1).astype(float)
     lc = lf[:-2]
     w = weights.w
     omega_tilde = e_plus[:-2] - e_minus[2:]
@@ -325,7 +327,6 @@ def build_tables(
 
     # Equal-time component norms: <ci|ci>(t) = sum(const + cos_coef cos(omega t)).
     norm1_const = w2 * ((a2 + b2 * s2) * g_plus + b2 * s2 * g_minus)
-    norm1_cos = -2.0 * w2 * b2 * s2 * g_pm
     norm2_const = w2 * b2 * (g_plus + (2.0 * lf) ** 2 * g_minus) / (l1 * l1)
     norm2_cos = 2.0 * w2 * b2 * s2 * g_pm
     norm3 = w2 * ((a2 / l3 + 2.0 * b2 / (l1 * l3)) * f_plus + b2 * (2.0 * lf / l1) * f_minus)
@@ -348,7 +349,6 @@ def build_tables(
     return PacketTables(
         spec=spec,
         weights=weights,
-        l_values=_freeze(l_values),
         e_plus=_freeze(e_plus),
         e_minus=_freeze(e_minus),
         omega=_freeze(omega),
@@ -357,7 +357,6 @@ def build_tables(
         acf_plus=_freeze(acf_plus),
         acf_minus=_freeze(acf_minus),
         norm1_const=_freeze(norm1_const),
-        norm1_cos=_freeze(norm1_cos),
         norm2_const=_freeze(norm2_const),
         norm2_cos=_freeze(norm2_cos),
         norm3=_freeze(norm3),
@@ -403,7 +402,7 @@ def component_norms(tables: PacketTables, t):
     arr = _as_time_array(t)
     flat = np.atleast_1d(arr)
     ph = np.cos(np.multiply.outer(flat, tables.omega))
-    n1 = float(np.sum(tables.norm1_const)) + ph @ tables.norm1_cos
+    n1 = float(np.sum(tables.norm1_const)) - ph @ tables.norm2_cos
     n2 = float(np.sum(tables.norm2_const)) + ph @ tables.norm2_cos
     n3 = np.full(flat.shape, float(np.sum(tables.norm3)))
     n4 = np.full(flat.shape, float(np.sum(tables.norm4)))
@@ -561,15 +560,6 @@ class TimeScales:
     t_cl: float
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
-    def to_kepler(self, t_natural: float) -> float:
-        return t_natural / self.t_cl
-
-    def to_tls(self, t_natural: float) -> float:
-        return t_natural / self.t_ls
-
-    def to_seconds(self, t_natural: float) -> float:
-        return t_natural * self.constants.compton_time_seconds
-
     def unit_scale(self, unit: str) -> float:
         """Natural-unit duration of one step of the named display unit."""
         if unit == "natural":
@@ -603,9 +593,9 @@ def timescales(
         raise ValueError(f"require integer N >= 2, got {N!r}")
     if not isinstance(k_max, (int, np.integer)) or not (1 <= k_max <= 6):
         raise ValueError(f"require 1 <= k_max <= 6, got {k_max!r}")
+    # fine_splitting checks the charge and that both partners are bound.
+    t_ls = 2.0 * math.pi / fine_splitting(Z, N, constants)
     xi = float(Z) * constants.alpha
-    if xi >= N - 1:
-        raise SupercriticalChargeError(Z, N - 1, xi)
     if branch == "j_plus":
         jet = _energy_jet_plus(xi, float(N), int(k_max))
     elif branch == "averaged":
@@ -626,7 +616,7 @@ def timescales(
         Z=int(Z),
         N=int(N),
         t=t,
-        t_ls=2.0 * math.pi / fine_splitting(Z, N, constants),
+        t_ls=t_ls,
         t_cl=2.0 * math.pi * float(N) ** 3 / (xi * xi),
         constants=constants,
     )

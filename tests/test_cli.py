@@ -348,6 +348,10 @@ def test_parameter_preconditions(capsys):
     assert rc == 2 and "a^2 + b^2 = 1" in err
     rc, _, err = run_cli(["autocorr", "--N", "4"], capsys)
     assert rc == 2 and "Z is required" in err
+    rc, _, err = run_cli(["timescales", "--Z", "0", "--N", "5"], capsys)
+    assert rc == 2 and "Z >= 1" in err
+    rc, _, err = run_cli(["smallnorm", "--Z", "92", "--N", "20", "--sigma", "1e308"], capsys)
+    assert rc == 2 and "sigma_g" in err and "Traceback" not in err
 
 
 def test_parse_range_forms():

@@ -75,6 +75,12 @@ def test_spec_validation():
         PacketSpec(Z=92, N=20, window=(25, 30))  # centroid outside
     with pytest.raises(ValueError):
         PacketSpec(Z=140, N=4)  # window reaches a supercritical shell
+    with pytest.raises(ValueError, match="integers"):
+        PacketSpec(Z=92, N=20, window=(2.5, 30))
+    with pytest.raises(ValueError, match="integers"):
+        PacketSpec(Z=92, N=20, window=(10, 30.5))
+    with pytest.raises(ValueError, match="sigma_g"):
+        PacketSpec(Z=92, N=20, sigma_g=1e308)  # 5 sigma_g overflows
 
 
 # ----------------------------------------------------------------- tables
@@ -82,10 +88,10 @@ def test_spec_validation():
 
 def test_table_layout(tables_u92_n4):
     tab = tables_u92_n4
-    n_shells = len(tab.l_values)
+    n_shells = len(tab.weights.n - 1)
     assert tab.spec.window == (2, 8)
     assert n_shells == 7
-    assert np.all(np.diff(tab.l_values) == 1)
+    assert np.all(np.diff(tab.weights.n - 1) == 1)
     # ten kets per shell: 3 + 2 large, 3 + 2 small
     assert len(tab.kets) == 10 * n_shells
     # cross arrays cover the orbitals with l + 2 still inside the window
@@ -95,7 +101,7 @@ def test_table_layout(tables_u92_n4):
 
 def test_omega_is_fine_splitting(tables_u92_n20):
     tab = tables_u92_n20
-    for idx, l in enumerate(tab.l_values):
+    for idx, l in enumerate(tab.weights.n - 1):
         assert tab.omega[idx] == pytest.approx(
             fine_splitting(92, int(l) + 1), rel=1e-13
         )
@@ -458,6 +464,8 @@ def test_timescale_validation():
         timescales(92, 20, branch="both")
     with pytest.raises(diracpacket.SupercriticalChargeError):
         timescales(150, 2)
+    with pytest.raises(ValueError, match="Z >= 1"):
+        timescales(0, 5)
 
 
 # ------------------------------------------------- nonrelativistic tables

@@ -66,6 +66,6 @@ def test_cross_arrays_cover_orbitals_two_shells_apart(Z, N, shells, below):
     below = min(below, shells - 1)
     spec = _spec(Z=Z, N=N, window=(N - below, N - below + shells - 1))
     tables = build_tables(spec)
-    assert len(tables.l_values) == shells
+    assert len(tables.weights.n - 1) == shells
     assert len(tables.k_coef) == len(tables.omega_tilde) == max(0, shells - 2)
     assert abs(autocorrelation(tables, 0.0) - 1.0) <= TOL
