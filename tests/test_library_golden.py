@@ -1,4 +1,4 @@
-"""One golden SHA-256 digest over the library's outputs.
+"""Golden SHA-256 digests over the library's outputs.
 
 The digest covers what the library computes, not how it stores it: A(t),
 the spin series with and without the cross-shell terms, the component
@@ -12,7 +12,12 @@ The packets run over Z in {1, 7, 54, 92, 118, 137}, N in {2, 3, 5, 20,
 41, 137, 300} and sigma_G in {0.3, 1, 2}, each with the exact and the
 limit-value radial integrals.
 
-The digest was recorded with CPython 3.11, NumPy 2.4 on x86-64 Linux.
+A second digest pins the paths that go through a state's label (Z, kappa,
+n'): the time-scale hierarchy on both energy branches at k_max = 6 and the
+fine splitting over the same Z x N grid, and the energies, gamma and lambda
+of the general (kappa, n') states at every Z.
+
+The digests were recorded with CPython 3.11, NumPy 2.4 on x86-64 Linux.
 A different libm or NumPy build may round a last digit differently; a
 digest change on such a platform is not by itself a regression.
 """
@@ -27,6 +32,8 @@ from diracpacket import (
     PlaneGridSpec,
     amplitudes,
     autocorrelation,
+    binding_energy,
+    bound_energy,
     build_tables,
     component_norms,
     density_grid,
@@ -36,9 +43,11 @@ from diracpacket import (
     small_norm,
     spin_expect,
     state_from_kappa,
+    timescales,
 )
 
 GOLDEN = "4edc62d3b3a662a319c1edc47dd0592a6dc7f6e6b0c11cd3c966501bd3b4ecde"
+LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)
 N_VALUES = (2, 3, 5, 20, 41, 137, 300)
@@ -108,5 +117,30 @@ def library_digest() -> str:
     return h.hexdigest()
 
 
+def label_digest() -> str:
+    h = hashlib.sha256()
+    for Z in Z_VALUES:
+        for kappa, n_prime in KAPPA_PRIMES:
+            label = f"{Z} {kappa} {n_prime}"
+            state = state_from_kappa(Z, kappa, n_prime)
+            _feed(h, f"{label} state", [state.gamma, state.energy, state.lam])
+            _feed(
+                h,
+                f"{label} energies",
+                [bound_energy(Z, n_prime, kappa), binding_energy(Z, n_prime, kappa)],
+            )
+        for N in N_VALUES:
+            _feed(h, f"{Z} {N} splitting", fine_splitting(Z, N))
+            for branch in ("j_plus", "averaged"):
+                scales = timescales(Z, N, k_max=6, branch=branch)
+                t = [scales.t[k] for k in range(1, 7)]
+                _feed(h, f"{Z} {N} {branch} times", t + [scales.t_ls, scales.t_cl])
+    return h.hexdigest()
+
+
 def test_library_outputs_match_golden_digest():
     assert library_digest() == GOLDEN
+
+
+def test_label_paths_match_golden_digest():
+    assert label_digest() == LABEL_GOLDEN
