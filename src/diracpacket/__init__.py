@@ -22,7 +22,6 @@ from .dirac_coulomb import (
     Branch,
     CircularState,
     OverlapSet,
-    QuantumNumbers,
     SupercriticalChargeError,
     binding_energy,
     bound_energy,
@@ -62,7 +61,6 @@ __all__ = [
     "Branch",
     "CircularState",
     "OverlapSet",
-    "QuantumNumbers",
     "SupercriticalChargeError",
     "binding_energy",
     "bound_energy",

@@ -51,6 +51,9 @@ from .packet import (
 
 _UNITS = ("natural", "kepler", "tls", "seconds")
 
+# Most time samples in one series (5 times 200,000, which peaks at 209 MB); see README.
+_MAX_SAMPLES = 1_000_000
+
 # Parameters echoed into the manifest, per subcommand.  Everything that
 # influences the output bytes is listed, and nothing else: these are also
 # the subcommand's only flags and config keys.
@@ -231,8 +234,8 @@ def _time_grid(cfg: dict, spec: PacketSpec):
     tmin = float(cfg["tmin"])
     tmax = float(cfg["tmax"])
     samples = int(cfg["samples"])
-    if samples < 2:
-        raise CliError(f"samples must be >= 2, got {samples}")
+    if not 2 <= samples <= _MAX_SAMPLES:
+        raise CliError(f"samples must be in [2, {_MAX_SAMPLES}], got {samples}")
     if not (math.isfinite(tmin) and math.isfinite(tmax)) or tmax <= tmin:
         raise CliError(f"need finite tmax > tmin, got [{tmin}, {tmax}]")
     scales = timescales(spec.Z, spec.N, constants=spec.constants)

@@ -26,11 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac_coulomb import eval_radial
-from .packet import PacketTables, _freeze
+from .packet import PacketTables, _as_time_array, _freeze
 from .specfun import legendre_norm, sph_harm
 
 # Rows per block; bounds the memory of the per-block temporaries.
 _ROW_BLOCK = 16
+
+# Most nodes per grid axis (16 times the nodes of a 512^2 grid); see README.
+_MAX_RESOLUTION = 2048
 
 
 def amplitudes(tables: PacketTables, r, theta, phi, t):
@@ -51,14 +54,14 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
-    t = float(t)
+    t = float(_as_time_array(t))
 
     flat_t = np.broadcast_to(theta, shape).ravel()
     flat_p = np.broadcast_to(phi, shape).ravel()
 
     # Distinct radial profiles and harmonics: many kets share each.
     kets = tables.kets
-    states = {(k.state.qn.kappa, k.state.qn.n_prime): k.state for k in kets}
+    states = {(k.state.kappa, k.state.n_prime): k.state for k in kets}
     radial = {key: eval_radial(state, r) for key, state in states.items()}
     harmonics = {
         (l, m): np.fromiter(
@@ -71,7 +74,7 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
 
     out = [np.zeros(shape, dtype=complex) for _ in range(4)]
     for ket in kets:
-        g, f = radial[(ket.state.qn.kappa, ket.state.qn.n_prime)]
+        g, f = radial[(ket.state.kappa, ket.state.n_prime)]
         rad = g if ket.radial_part == "g" else f
         prefactor = ket.coef * cmath.exp(-1j * ket.state.energy * t)
         out[ket.component - 1] += prefactor * rad * harmonics[(ket.l_ang, ket.m_ang)]
@@ -86,7 +89,8 @@ class PlaneGridSpec:
     """Square window on the equatorial plane theta = pi/2.
 
     extent is the half-width in units of the circular-orbit radius
-    r_N = N^2/(Z alpha); resolution is the number of nodes per axis.
+    r_N = N^2/(Z alpha); resolution is the number of nodes per axis,
+    16 to 2,048.
     """
 
     extent: float = 1.6
@@ -97,11 +101,12 @@ class PlaneGridSpec:
         if not math.isfinite(extent) or extent <= 0.0:
             raise ValueError(f"extent must be finite and > 0, got {self.extent!r}")
         object.__setattr__(self, "extent", extent)
-        if self.resolution != int(self.resolution):
-            raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
         resolution = int(self.resolution)
-        if resolution < 16:
-            raise ValueError(f"resolution must be >= 16, got {resolution}")
+        if resolution != self.resolution or not 16 <= resolution <= _MAX_RESOLUTION:
+            raise ValueError(
+                f"resolution must be an integer in [16, {_MAX_RESOLUTION}], "
+                f"got {self.resolution!r}"
+            )
         object.__setattr__(self, "resolution", resolution)
 
 
@@ -134,9 +139,7 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
 
     The returned grid satisfies spin_up >= 0, spin_down >= 0 elementwise.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    t = float(_as_time_array(t))
 
     spec = tables.spec
     xi = spec.Z * spec.constants.alpha
@@ -162,7 +165,7 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
     m_min = min(k.m_ang for k in kets)
     m_max = max(k.m_ang for k in kets)
     # Distinct radial profiles: many kets share one state.
-    states = {(k.state.qn.kappa, k.state.qn.n_prime): k.state for k in kets}
+    states = {(k.state.kappa, k.state.n_prime): k.state for k in kets}
 
     spin_up = np.empty((res, res), dtype=float)
     spin_down = np.empty((res, res), dtype=float)
@@ -186,7 +189,7 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
 
         comps = [np.zeros(r.shape, dtype=complex) for _ in range(4)]
         for ket, pref in zip(kets, prefactors):
-            g, f = radial[(ket.state.qn.kappa, ket.state.qn.n_prime)]
+            g, f = radial[(ket.state.kappa, ket.state.n_prime)]
             rad = g if ket.radial_part == "g" else f
             comps[ket.component - 1] += pref * rad * e_of_m[ket.m_ang]
 

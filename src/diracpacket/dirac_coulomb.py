@@ -10,9 +10,10 @@ level l = n - 1 splits into the two fine-structure partners
     j_minus : j = l - 1/2,  kappa = +l,             n' = 1   (l >= 1),
 
 where n' is the radial quantum number and kappa the usual Dirac angular
-eigenvalue.  Both carry analytic radial functions with polynomial part of
-degree n' <= 1, which is what makes every overlap integral in this
-package a two- or three-term Gamma-function moment.
+eigenvalue.  A state is labelled once, by (Z, kappa, n'); its n, l and
+partner follow from kappa and n'.  Both carry analytic radial functions
+with polynomial part of degree n' <= 1, which is what makes every overlap
+integral in this package a two- or three-term Gamma-function moment.
 
 Radial conventions
 ------------------
@@ -81,27 +82,19 @@ class SupercriticalChargeError(ValueError):
         self.kappa = kappa
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Complete label of one bound state used in this package."""
-
-    Z: int
-    n: int
-    l: int
-    branch: Branch
-    kappa: int
-    n_prime: int
+def _require_int(name: str, value, minimum: int) -> None:
+    """Reject a bool, anything that is not an integer, and a value below minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"require {name} >= {minimum} (an integer), got {value!r}")
 
 
 def _level(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants):
     """(xi, gamma, d, N) of the bound state (n', kappa): d = n' + gamma and
     N = hypot(d, xi), after checking that the state exists."""
-    if n_prime < 0:
-        raise ValueError(f"require n_prime >= 0, got {n_prime!r}")
-    if not isinstance(Z, (int, np.integer)) or Z < 1:
-        raise ValueError(f"require integer Z >= 1, got {Z!r}")
+    _require_int("n_prime", n_prime, 0)
+    _require_int("Z", Z, 1)
     xi = float(Z) * constants.alpha
-    if not isinstance(kappa, (int, np.integer)) or kappa == 0:
+    if isinstance(kappa, bool) or not isinstance(kappa, (int, np.integer)) or kappa == 0:
         raise ValueError(f"kappa must be a nonzero integer, got {kappa!r}")
     if xi >= abs(kappa):
         raise SupercriticalChargeError(Z, int(kappa), xi)
@@ -166,8 +159,7 @@ def fine_splitting(
                         (D_plus^2 + xi^2) (D_minus^2 + xi^2)
                         (E_plus + E_minus) ].
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"fine splitting needs a shell N >= 2, got {N!r}")
+    _require_int("N", N, 2)
     xi, _, d_plus, hypot_plus = _level(Z, 0, -int(N), constants)
     _, gamma_minus, d_minus, hypot_minus = _level(Z, 1, int(N) - 1, constants)
     e_plus = d_plus / hypot_plus
@@ -190,6 +182,11 @@ def fine_splitting(
 class CircularState:
     """One normalized Dirac-Coulomb bound state with polynomial degree <= 1.
 
+    The label (Z, kappa, n_prime) is stored once; n = n' + |kappa|,
+    l = kappa if kappa > 0 else -kappa - 1, and branch (J_MINUS exactly
+    when kappa > 0; the one-node n' = 1, kappa < 0 state counts as
+    J_PLUS) are read-only properties derived from it.
+
     Radial data is stored in assembled-log form: value = exp(log_pref
     + (gamma - 1) ln x - x/2) * (poly[0] + poly[1] x) with x = 2 lambda r;
     the polynomial carries the component's sign.
@@ -197,16 +194,28 @@ class CircularState:
     (circular labels) or :func:`state_from_kappa` (general kappa, n' <= 1).
     """
 
-    qn: QuantumNumbers
-    xi: float
+    Z: int
+    kappa: int
+    n_prime: int
     gamma: float
     energy: float
     lam: float
-    big_n: float
     g_log_prefactor: float
     g_poly: tuple[float, float]
     f_log_prefactor: float
     f_poly: tuple[float, float]
+
+    @property
+    def n(self) -> int:
+        return self.n_prime + abs(self.kappa)
+
+    @property
+    def l(self) -> int:
+        return self.kappa if self.kappa > 0 else -self.kappa - 1
+
+    @property
+    def branch(self) -> Branch:
+        return Branch.J_MINUS if self.kappa > 0 else Branch.J_PLUS
 
 
 def state_from_kappa(
@@ -258,20 +267,13 @@ def state_from_kappa(
         g_poly = (-c0_g, -c1)
         f_poly = (beta + 1.0, c1)
 
-    # n_prime = 1 with kappa < 0 is the one-node j = l + 1/2 state: not
-    # circular, but valid.
-    n = n_prime + abs(kappa)
-    l = kappa if kappa > 0 else -kappa - 1
-    branch = Branch.J_MINUS if kappa > 0 else Branch.J_PLUS
-    qn = QuantumNumbers(Z=int(Z), n=n, l=l, branch=branch, kappa=kappa, n_prime=n_prime)
-
     return CircularState(
-        qn=qn,
-        xi=xi,
+        Z=int(Z),
+        kappa=kappa,
+        n_prime=int(n_prime),
         gamma=gamma,
         energy=energy,
         lam=lam,
-        big_n=big_n,
         g_log_prefactor=g_log,
         g_poly=g_poly,
         f_log_prefactor=f_log,
@@ -290,8 +292,7 @@ def make_circular_state(
     j_plus is (kappa = -n, n' = 0); j_minus is (kappa = n - 1, n' = 1) and
     needs n >= 2.
     """
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n!r}")
+    _require_int("n", n, 1)
     if branch is Branch.J_PLUS:
         return state_from_kappa(Z, -n, 0, constants)
     if branch is Branch.J_MINUS:
@@ -331,10 +332,8 @@ def _part_data(state: CircularState, letter: str):
 
 
 def _check_pair(a: CircularState, b: CircularState, part: str) -> None:
-    if a.qn.Z != b.qn.Z:
-        raise ValueError(
-            f"overlap requires matching nuclear charge, got Z = {a.qn.Z} and {b.qn.Z}"
-        )
+    if a.Z != b.Z:
+        raise ValueError(f"overlap requires matching nuclear charge, got Z = {a.Z} and {b.Z}")
     if part not in ("gg", "ff"):
         raise ValueError(f"part must be 'gg' or 'ff', got {part!r}")
 
@@ -395,10 +394,10 @@ class OverlapSet:
 
 def overlap_set(state_plus: CircularState, state_minus: CircularState) -> OverlapSet:
     """Closed-form overlap bundle for the two partners of one orbital l."""
-    if state_plus.qn.l != state_minus.qn.l:
+    if state_plus.l != state_minus.l:
         raise ValueError(
             "overlap_set pairs the two partners of one orbital level, got "
-            f"l = {state_plus.qn.l} and {state_minus.qn.l}"
+            f"l = {state_plus.l} and {state_minus.l}"
         )
     return OverlapSet(
         g_plus=overlap_closed_form(state_plus, state_plus, "gg"),

@@ -44,6 +44,8 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
     Branch,
     CircularState,
+    _level,
+    _require_int,
     fine_splitting,
     make_circular_state,
     overlap_closed_form,
@@ -51,6 +53,9 @@ from .dirac_coulomb import (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# Most shells per window (sigma_g = 100 with the default window); see README.
+_MAX_SHELLS = 1001
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -66,7 +71,7 @@ class PacketSpec:
     window defaults to [max(2, N - ceil(5 sigma_g)), N + ceil(5 sigma_g)],
     wide enough that the clipped Gaussian tails carry < 1e-10 of the
     weight.  The lower clamp at 2 keeps every shell's j_minus partner in
-    existence (l = n - 1 >= 1).
+    existence (l = n - 1 >= 1).  A window holds at most 1,001 shells.
     """
 
     Z: int
@@ -78,10 +83,7 @@ class PacketSpec:
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.Z, (int, np.integer)) or self.Z < 1:
-            raise ValueError(f"require integer Z >= 1, got {self.Z!r}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise ValueError(f"require integer centroid shell N >= 2, got {self.N!r}")
+        _require_int("N", self.N, 2)
         # 5 sigma_g sets the default window, so it must be finite too.
         if not (math.isfinite(5.0 * self.sigma_g) and self.sigma_g > 0.0):
             raise ValueError(
@@ -108,16 +110,15 @@ class PacketSpec:
                 f"window must start at n >= 2 (j_minus partner needs l >= 1), "
                 f"got {self.window!r}"
             )
+        if n_max - n_min >= _MAX_SHELLS:
+            raise ValueError(f"window {self.window!r} holds more than {_MAX_SHELLS} shells")
         if not (n_min <= self.N <= n_max):
             raise ValueError(
                 f"window {self.window!r} does not contain the centroid N = {self.N}"
             )
-        xi = self.Z * self.constants.alpha
-        if xi >= n_min - 1:
-            raise ValueError(
-                f"window shell n = {n_min} is supercritical for Z = {self.Z}: "
-                f"Z*alpha = {xi:.6g} >= |kappa| = {n_min - 1}"
-            )
+        # The first shell's j_minus partner has the window's smallest |kappa|,
+        # so checking it checks the charge and every state of the window.
+        _level(self.Z, 1, n_min - 1, self.constants)
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def _build_kets(
     a, b = spec.a, spec.b
     kets: list[Ket] = []
     for w, sp, sm in zip(weights.w, states_plus, states_minus):
-        l = sp.qn.l
+        l = sp.l
         w = float(w)
         two_l = 2.0 * l
         s = math.sqrt(two_l) / (two_l + 1.0)
@@ -589,11 +590,9 @@ def timescales(
     the stretched-partner energy curve "j_plus" (default) or the
     "averaged" curve (E+ + E-)/2.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"require integer N >= 2, got {N!r}")
-    if not isinstance(k_max, (int, np.integer)) or not (1 <= k_max <= 6):
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or not 0 < k_max < 7:
         raise ValueError(f"require 1 <= k_max <= 6, got {k_max!r}")
-    # fine_splitting checks the charge and that both partners are bound.
+    # fine_splitting checks N, the charge and that both partners are bound.
     t_ls = 2.0 * math.pi / fine_splitting(Z, N, constants)
     xi = float(Z) * constants.alpha
     if branch == "j_plus":

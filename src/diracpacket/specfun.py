@@ -81,10 +81,6 @@ def sph_harm(l: int, m: int, theta: float, phi: float) -> complex:
     Stable for l up to a few hundred at any angle; values that are truly
     subnormal (far under the seed scale near the poles) flush to zero.
     """
-    if l < 0:
-        raise ValueError(f"require l >= 0, got l={l!r}")
-    if abs(m) > l:
-        raise ValueError(f"require |m| <= l, got l={l!r}, m={m!r}")
     mm = abs(m)
     p = legendre_norm(l, mm, theta)
     y = p * cmath.exp(1j * mm * phi)

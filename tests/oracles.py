@@ -154,7 +154,7 @@ def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
     def radial(ka: Ket, kb: Ket) -> float:
         if ka.radial_part != kb.radial_part:
             raise ValueError("mixed g/f radial overlap should never arise")
-        qa, qb = ka.state.qn, kb.state.qn
+        qa, qb = ka.state, kb.state
         key_a = (qa.kappa, qa.n_prime, ka.radial_part)
         key_b = (qb.kappa, qb.n_prime, kb.radial_part)
         key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)

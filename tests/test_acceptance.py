@@ -195,7 +195,7 @@ def test_acceptance_06_conservation(tables_h_n20, tables_u92_n20, tables_u92_n40
     states = {}
     for tables in (tables_h_n20, tables_u92_n20, tables_u92_n40):
         for ket in tables.kets:
-            states[(ket.state.qn.Z, ket.state.qn.kappa, ket.state.qn.n_prime)] = (
+            states[(ket.state.Z, ket.state.kappa, ket.state.n_prime)] = (
                 ket.state
             )
     for state in states.values():

@@ -352,6 +352,14 @@ def test_parameter_preconditions(capsys):
     assert rc == 2 and "Z >= 1" in err
     rc, _, err = run_cli(["smallnorm", "--Z", "92", "--N", "20", "--sigma", "1e308"], capsys)
     assert rc == 2 and "sigma_g" in err and "Traceback" not in err
+    # Size limits, each checked before its arrays are allocated.
+    for argv, word in [
+        (["smallnorm", "--Z", "92", "--N", "20", "--sigma", "1e9"], "1001 shells"),
+        (["density", "--Z", "92", "--N", "20", "--grid", "100000"], "2048"),
+        (["autocorr", "--Z", "92", "--N", "20", "--samples", "100000000"], "samples"),
+    ]:
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2 and out == "" and word in err and "Traceback" not in err
 
 
 def test_parse_range_forms():

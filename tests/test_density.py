@@ -178,6 +178,11 @@ def test_grid_spec_validation():
         PlaneGridSpec(resolution=8)
     with pytest.raises(ValueError):
         PlaneGridSpec(resolution=64.5)
+    with pytest.raises(ValueError, match="2048"):
+        PlaneGridSpec(resolution=2049)
+    with pytest.raises(ValueError, match="2048"):
+        PlaneGridSpec(resolution=100000)
+    assert PlaneGridSpec(resolution=2048).resolution == 2048
     assert PlaneGridSpec().extent == pytest.approx(1.6)
     assert PlaneGridSpec().resolution == 256
 
@@ -241,6 +246,8 @@ def test_grid_argument_validation(tables_u92_n20):
     spec = PlaneGridSpec(resolution=16)
     with pytest.raises(ValueError):
         density_grid(tables_u92_n20, spec, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        amplitudes(tables_u92_n20, 100.0, 1.0, 0.5, math.nan)
 
 
 # -------------------------------------------------- packet motion on grid

@@ -36,8 +36,8 @@ def test_make_circular_state_labels():
         (4, Branch.J_PLUS, -4, 0),
         (4, Branch.J_MINUS, 3, 1),
     ]:
-        qn = make_circular_state(92, n, branch).qn
-        assert (qn.n, qn.l, qn.branch, qn.kappa, qn.n_prime) == (
+        st = make_circular_state(92, n, branch)
+        assert (st.n, st.l, st.branch, st.kappa, st.n_prime) == (
             n, n - 1, branch, kappa, n_prime
         )
     with pytest.raises(ValueError, match="j_minus partner needs l >= 1"):
@@ -46,6 +46,10 @@ def test_make_circular_state_labels():
         make_circular_state(92, 0, Branch.J_PLUS)
     with pytest.raises(ValueError, match="unknown branch"):
         make_circular_state(92, 4, "j_plus")
+    with pytest.raises(ValueError, match="Z >= 1"):
+        make_circular_state(True, 3, Branch.J_PLUS)
+    with pytest.raises(ValueError, match="require n >= 1"):
+        make_circular_state(92, True, Branch.J_PLUS)
 
 
 def test_ground_state_energy_sommerfeld():
@@ -293,8 +297,8 @@ def test_radial_functions_against_mpmath():
         for Z, n, branch, expected_sign in cases:
             st = make_circular_state(Z, n, branch)
             xi = mp.mpf(Z) / mp.mpf("137.036")
-            kappa = st.qn.kappa
-            n_prime = st.qn.n_prime
+            kappa = st.kappa
+            n_prime = st.n_prime
             gamma = mp.sqrt(kappa * kappa - xi * xi)
             d = n_prime + gamma
             big_n = mp.sqrt(d * d + xi * xi)
@@ -366,3 +370,14 @@ def test_state_from_kappa_validation():
         state_from_kappa(92, -3, 2)  # only zero- and one-node states exist here
     with pytest.raises(SupercriticalChargeError):
         state_from_kappa(138, -1, 0)
+    # A bool or a float is not an integer label, wherever a label enters.
+    with pytest.raises(ValueError, match="Z >= 1"):
+        fine_splitting(True, 5)
+    with pytest.raises(ValueError, match="n_prime >= 0"):
+        binding_energy(92, 0.5, -1)
+    with pytest.raises(ValueError, match="n_prime >= 0"):
+        bound_energy(92, True, -1)
+    with pytest.raises(ValueError, match="n_prime >= 0"):
+        state_from_kappa(92, -3, True)
+    with pytest.raises(ValueError, match="kappa must be a nonzero integer"):
+        state_from_kappa(92, True, 1)

@@ -100,7 +100,7 @@ def _packet(h, Z: int, N: int, sigma: float, nonrel: bool) -> None:
     _feed(h, f"{label} fields", fields)
     if nonrel:
         return
-    states = list({(k.state.qn.kappa, k.state.qn.n_prime): k.state for k in tables.kets}.values())
+    states = list({(k.state.kappa, k.state.n_prime): k.state for k in tables.kets}.values())
     _radial_and_overlaps(h, label, states, r_n * np.array([0.1, 0.9, 1.0, 1.1, 3.0]))
 
 

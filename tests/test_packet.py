@@ -19,6 +19,7 @@ from diracpacket import (
     Branch,
     PacketSpec,
     PhysicalConstants,
+    SupercriticalChargeError,
     autocorrelation,
     build_tables,
     component_norms,
@@ -81,6 +82,18 @@ def test_spec_validation():
         PacketSpec(Z=92, N=20, window=(10, 30.5))
     with pytest.raises(ValueError, match="sigma_g"):
         PacketSpec(Z=92, N=20, sigma_g=1e308)  # 5 sigma_g overflows
+    with pytest.raises(ValueError, match="Z >= 1"):
+        PacketSpec(Z=True, N=20)
+    # The window's first shell checks the charge: its j_minus partner has kappa = 1.
+    with pytest.raises(SupercriticalChargeError, match="kappa = 1\\)"):
+        PacketSpec(Z=140, N=4)
+    # At most 1,001 shells: sigma_g = 100 with the default window fits.
+    assert PacketSpec(Z=92, N=600, sigma_g=100.0).window == (100, 1100)
+    assert PacketSpec(Z=92, N=20, window=(2, 1002)).window == (2, 1002)
+    with pytest.raises(ValueError, match="1001 shells"):
+        PacketSpec(Z=92, N=20, window=(2, 1003))
+    with pytest.raises(ValueError, match="1001 shells"):
+        PacketSpec(Z=92, N=20, sigma_g=1e9)  # window (2, 5000000020)
 
 
 # ----------------------------------------------------------------- tables
@@ -276,7 +289,7 @@ class _BruteSpin:
         cache = {}
 
         def radial(ka, kb):
-            key = (ka.state.qn, kb.state.qn, ka.radial_part + kb.radial_part)
+            key = (ka.state, kb.state, ka.radial_part + kb.radial_part)
             if key not in cache:
                 cache[key] = overlap_closed_form(ka.state, kb.state, key[2])
             return cache[key]
@@ -466,6 +479,10 @@ def test_timescale_validation():
         timescales(150, 2)
     with pytest.raises(ValueError, match="Z >= 1"):
         timescales(0, 5)
+    with pytest.raises(ValueError, match="Z >= 1"):
+        timescales(True, 5)
+    with pytest.raises(ValueError, match="k_max"):
+        timescales(92, 20, k_max=True)
 
 
 # ------------------------------------------------- nonrelativistic tables
@@ -500,3 +517,48 @@ def test_readme_quick_start_runs():
     assert recurrence.shape == (2001,)
     assert recurrence[0] == pytest.approx(1.0, abs=1e-12)
     assert float(np.max(recurrence)) <= 1.0 + 1e-12
+
+
+def test_public_surface():
+    """__all__ is exactly this list, so a removal has to name what it removes."""
+    import diracpacket
+
+    assert diracpacket.__all__ == [
+        "ALPHA_DEFAULT",
+        "COMPTON_TIME_SECONDS",
+        "DEFAULT_CONSTANTS",
+        "PhysicalConstants",
+        "DensityGrid",
+        "PlaneGridSpec",
+        "amplitudes",
+        "density_grid",
+        "Branch",
+        "CircularState",
+        "OverlapSet",
+        "SupercriticalChargeError",
+        "binding_energy",
+        "bound_energy",
+        "eval_radial",
+        "fine_splitting",
+        "make_circular_state",
+        "overlap_closed_form",
+        "overlap_set",
+        "state_from_kappa",
+        "Ket",
+        "PacketSpec",
+        "PacketTables",
+        "SmallNorm",
+        "TimeScales",
+        "autocorrelation",
+        "build_tables",
+        "component_norms",
+        "small_norm",
+        "spin_expect",
+        "timescales",
+        "legendre_norm",
+        "sph_harm",
+        "__version__",
+    ]
+    assert len(diracpacket.__all__) == 34
+    for name in diracpacket.__all__:
+        assert hasattr(diracpacket, name), name
