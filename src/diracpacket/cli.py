@@ -16,11 +16,14 @@ Each subcommand takes only the flags and config keys of its own manifest
 (plus ``--config`` and ``--out``), and a manifest written by another
 subcommand is rejected.
 
-Subcommands return their rows as plain values (ints, floats and the
-``ls``/``cl`` labels); only the CSV writer turns them into text.  It
-writes floats with 17 significant digits (round-trip exact for doubles),
-'.' decimal separator, CRLF line endings, and streams the rows to the
-output without buffering the file.
+Subcommands return their rows as plain values (ints, floats and
+strings); all text comes from one float format, ``_FLOAT`` (17
+significant digits, round-trip exact for doubles, '.' decimal
+separator), or from ``str``.  The CSV writer formats every value except
+density's axis labels: each grid axis holds few distinct values, so
+``density`` formats them with ``_FLOAT`` once, ahead of time, and
+repeats the strings.  The writer uses CRLF line endings and streams the
+rows to the output without buffering the file.
 
 Exit status 0 when every output was written; 2 when a parameter violates
 a precondition (the message names it); 1 for unexpected failures.
@@ -53,6 +56,12 @@ _UNITS = ("natural", "kepler", "tls", "seconds")
 
 # Most time samples in one series (5 times 200,000, which peaks at 209 MB); see README.
 _MAX_SAMPLES = 1_000_000
+
+# Most (Z, N) points in one sweep (18 times the benchmark's 5,428); see README.
+_MAX_SWEEP = 100_000
+
+# The one text form of a float: 17 significant digits round-trip a double.
+_FLOAT = "%.17g"
 
 # Parameters echoed into the manifest, per subcommand.  Everything that
 # influences the output bytes is listed, and nothing else: these are also
@@ -97,7 +106,22 @@ def parse_range(text, name: str) -> list[int]:
         raise CliError(f"{name} range step must be positive, got {step}")
     if stop < start:
         raise CliError(f"{name} range is empty: {text!r}")
-    return list(range(start, stop + 1, step))
+    values = range(start, stop + 1, step)
+    if len(values) > _MAX_SWEEP:
+        raise CliError(f"{name} range {text!r} has more than {_MAX_SWEEP} values")
+    return list(values)
+
+
+def _sweep(cfg: dict) -> tuple[list[int], list[int]]:
+    """The Z and N values of a sweep, at most _MAX_SWEEP (Z, N) points."""
+    z_values = parse_range(cfg["Z"], "Z")
+    n_values = parse_range(cfg["N"], "N")
+    if len(z_values) * len(n_values) > _MAX_SWEEP:
+        raise CliError(
+            f"sweep of {len(z_values)} Z x {len(n_values)} N values has more "
+            f"than {_MAX_SWEEP} points"
+        )
+    return z_values, n_values
 
 
 def _single(text, name: str) -> int:
@@ -184,10 +208,11 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _write_csv(out_path, manifest: dict, header: list[str], rows: list[tuple]) -> None:
     """Stream the manifest line, the header and rows to out_path or stdout.
 
-    The one place numbers become text: a column whose first value is a
-    float gets 17 significant digits, any other column its ``str``.
+    A column whose first value is a float is formatted with ``_FLOAT``,
+    any other column with ``str`` (``%s``); a column of strings already
+    formatted with ``_FLOAT`` is therefore written as is.
     """
-    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+    template = ",".join(_FLOAT if isinstance(v, float) else "%s" for v in rows[0])
     template += "\r\n"
     lines = itertools.chain(
         ("# " + json.dumps(manifest, sort_keys=True) + "\r\n", ",".join(header) + "\r\n"),
@@ -214,8 +239,7 @@ def _packet_spec(cfg: dict) -> PacketSpec:
 
 
 def cmd_timescales(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
-    z_values = parse_range(cfg["Z"], "Z")
-    n_values = parse_range(cfg["N"], "N")
+    z_values, n_values = _sweep(cfg)
     kmax = int(cfg["kmax"])
     seconds = DEFAULT_CONSTANTS.compton_time_seconds
     rows = []
@@ -278,15 +302,18 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     grid_spec = PlaneGridSpec(extent=float(cfg["extent"]), resolution=int(cfg["grid"]))
     grid = density_grid(tables, grid_spec, t_nat)
     r_n = grid.r_n
+    # Each axis label is formatted once and repeated: 2 x 512 strings, not
+    # 2 x 262,144 floats, for a 512^2 grid.
+    x_labels = [_FLOAT % x for x in (grid.x / r_n).tolist()]
+    y_labels = [_FLOAT % y for y in (grid.y / r_n).tolist()]
     # Long format, row-major: x varies fastest, as in spin_up[i, j] at (x[j], y[i]).
-    columns = (
-        np.tile(grid.x / r_n, grid.y.size),
-        np.repeat(grid.y / r_n, grid.x.size),
-        grid.spin_up.ravel(),
-        grid.spin_down.ravel(),
-        grid.total.ravel(),
+    rows = list(
+        zip(
+            x_labels * len(y_labels),
+            [y for y in y_labels for _ in x_labels],
+            *(values.ravel().tolist() for values in (grid.spin_up, grid.spin_down, grid.total)),
+        )
     )
-    rows = list(zip(*(column.tolist() for column in columns)))
     header = ["x_over_rN", "y_over_rN", "rho_up", "rho_down", "rho_total"]
     extra = {
         "r_N_compton": r_n,
@@ -299,8 +326,7 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
 
 
 def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
-    z_values = parse_range(cfg["Z"], "Z")
-    n_values = parse_range(cfg["N"], "N")
+    z_values, n_values = _sweep(cfg)
     rows = []
     for Z in z_values:
         for N in n_values:

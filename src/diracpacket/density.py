@@ -101,7 +101,10 @@ class PlaneGridSpec:
         if not math.isfinite(extent) or extent <= 0.0:
             raise ValueError(f"extent must be finite and > 0, got {self.extent!r}")
         object.__setattr__(self, "extent", extent)
-        resolution = int(self.resolution)
+        try:
+            resolution = int(self.resolution)
+        except (OverflowError, ValueError):  # inf and nan
+            resolution = 0  # fails the range check below
         if resolution != self.resolution or not 16 <= resolution <= _MAX_RESOLUTION:
             raise ValueError(
                 f"resolution must be an integer in [16, {_MAX_RESOLUTION}], "

@@ -34,6 +34,7 @@ over time arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -172,8 +173,12 @@ class PacketTables:
       radial integrals, so an observable is a dot product against phase
       factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos.
       sy_sin equals sx_cos and is kept for bench/checks.py;
-    - kets, the stationary-state expansion behind the density; every
-      CircularState of the packet is in it.
+    - states = (states_plus, states_minus), the j+ and j- partner of each
+      window shell, in the order of weights.n.
+
+    kets, the stationary-state expansion behind the density, is derived
+    from states on first read and then kept, so packets that never read
+    it (the time series and small-component norms) do not build it.
     """
 
     spec: PacketSpec
@@ -195,7 +200,12 @@ class PacketTables:
     sy_sin: np.ndarray
     sz_const: np.ndarray
     sz_cos: np.ndarray
-    kets: tuple[Ket, ...] = field(repr=False)
+    states: tuple[tuple[CircularState, ...], tuple[CircularState, ...]] = field(repr=False)
+
+    @functools.cached_property
+    def kets(self) -> tuple[Ket, ...]:
+        """Ten kets per shell; every CircularState of the packet is in them."""
+        return _build_kets(self.spec, self.weights, *self.states)
 
 
 def _build_kets(
@@ -345,8 +355,6 @@ def build_tables(
     )
     sz_cos = -w2 * b2 * (8.0 * lf / (l1 * l1)) * g_pm
 
-    kets = _build_kets(spec, weights, states_plus, states_minus)
-
     return PacketTables(
         spec=spec,
         weights=weights,
@@ -367,7 +375,7 @@ def build_tables(
         sy_sin=_freeze(sy_sin),
         sz_const=_freeze(sz_const),
         sz_cos=_freeze(sz_cos),
-        kets=kets,
+        states=(states_plus, states_minus),
     )
 
 

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from diracpacket import packet
 from diracpacket.cli import _MANIFEST_KEYS, main, parse_range
 
 
@@ -357,9 +358,32 @@ def test_parameter_preconditions(capsys):
         (["smallnorm", "--Z", "92", "--N", "20", "--sigma", "1e9"], "1001 shells"),
         (["density", "--Z", "92", "--N", "20", "--grid", "100000"], "2048"),
         (["autocorr", "--Z", "92", "--N", "20", "--samples", "100000000"], "samples"),
+        (["timescales", "--Z", "1:1000000000", "--N", "2"], "100000"),
+        (["smallnorm", "--Z", "1:100", "--N", "2:1002"], "100000"),
     ]:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 2 and out == "" and word in err and "Traceback" not in err
+
+
+def test_kets_built_only_for_density(tmp_path, monkeypatch, capsys):
+    calls = []
+    build_kets = packet._build_kets
+
+    def counted(*args):
+        calls.append(args)
+        return build_kets(*args)
+
+    monkeypatch.setattr(packet, "_build_kets", counted)
+    for argv, expected in [
+        (["smallnorm", "--Z", "90:92", "--N", "10:20:10"], 0),
+        (["autocorr", "--Z", "92", "--N", "20", "--samples", "20"], 0),
+        (["spin", "--Z", "92", "--N", "20", "--samples", "20"], 0),
+        (["timescales", "--Z", "92", "--N", "20"], 0),
+        (["density", "--Z", "92", "--N", "20", "--grid", "16"], 1),
+    ]:
+        calls.clear()
+        rc, _, _ = run_cli([*argv, "--out", str(tmp_path / "out.csv")], capsys)
+        assert rc == 0 and len(calls) == expected, argv[0]
 
 
 def test_parse_range_forms():

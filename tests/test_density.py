@@ -182,6 +182,9 @@ def test_grid_spec_validation():
         PlaneGridSpec(resolution=2049)
     with pytest.raises(ValueError, match="2048"):
         PlaneGridSpec(resolution=100000)
+    for resolution in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="2048"):
+            PlaneGridSpec(resolution=resolution)
     assert PlaneGridSpec(resolution=2048).resolution == 2048
     assert PlaneGridSpec().extent == pytest.approx(1.6)
     assert PlaneGridSpec().resolution == 256

@@ -112,6 +112,24 @@ def test_table_layout(tables_u92_n4):
     assert len(tab.omega_tilde) == n_shells - 2
 
 
+def test_kets_are_built_on_first_read():
+    tab = build_tables(PacketSpec(Z=92, N=20, sigma_g=2.0))
+    assert "kets" not in vars(tab)
+    kets = tab.kets
+    assert len(kets) == 10 * tab.weights.n.size
+    assert tab.kets is kets
+
+
+def test_states_pair_with_window_shells(tables_u92_n20):
+    states_plus, states_minus = tables_u92_n20.states
+    n = tables_u92_n20.weights.n.tolist()
+    assert [s.n for s in states_plus] == n
+    assert [s.n for s in states_minus] == n
+    assert all(s.branch is Branch.J_PLUS for s in states_plus)
+    assert all(s.branch is Branch.J_MINUS for s in states_minus)
+    assert [s.l for s in states_plus] == [s.l for s in states_minus]
+
+
 def test_omega_is_fine_splitting(tables_u92_n20):
     tab = tables_u92_n20
     for idx, l in enumerate(tab.weights.n - 1):
