@@ -45,6 +45,7 @@ from .density import PlaneGridSpec, density_grid
 from .dirac_coulomb import SupercriticalChargeError
 from .packet import (
     PacketSpec,
+    _timescale_rows,
     autocorrelation,
     build_tables,
     small_norm,
@@ -241,15 +242,15 @@ def _packet_spec(cfg: dict) -> PacketSpec:
 def cmd_timescales(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     z_values, n_values = _sweep(cfg)
     kmax = int(cfg["kmax"])
+    points = [(Z, N) for Z in z_values for N in n_values]
+    t, t_ls, t_cl = _timescale_rows(
+        [Z for Z, _ in points], [N for _, N in points], kmax, DEFAULT_CONSTANTS, "j_plus"
+    )
     seconds = DEFAULT_CONSTANTS.compton_time_seconds
     rows = []
-    for Z in z_values:
-        for N in n_values:
-            scales = timescales(Z, N, k_max=kmax)
-            t1 = float(scales.t[1])
-            labelled = [(k, float(scales.t[k])) for k in range(1, kmax + 1)]
-            labelled += [("ls", scales.t_ls), ("cl", scales.t_cl)]
-            rows += [(Z, N, k, tk, tk / t1, tk * seconds) for k, tk in labelled]
+    for (Z, N), times, ls, cl in zip(points, t.tolist(), t_ls.tolist(), t_cl.tolist()):
+        labelled = [*enumerate(times, start=1), ("ls", ls), ("cl", cl)]
+        rows += [(Z, N, k, tk, tk / times[0], tk * seconds) for k, tk in labelled]
     header = ["Z", "N", "k", "T_k_natural", "T_k_over_T1", "T_k_seconds"]
     return {}, header, rows
 

@@ -48,6 +48,13 @@ polynomial whose coefficients carry the component's sign (the -1 of f
 for n' = 0, the flip of g for n' = 1), and every evaluation assembles one
 exponent before a single exp call, so states up to n of a few hundred
 evaluate without intermediate overflow.
+
+The levels, radial data and overlaps are computed by kernels over NumPy
+arrays of states (_levels, _radial, _overlap).  build_tables calls them
+once per shell window; state_from_kappa, overlap_closed_form and the
+energies call them with one row, so each formula has one home.  Every
+transcendental goes through math one element at a time, which makes a
+result independent of how many states are evaluated together.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,9 +96,8 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"require {name} >= {minimum} (an integer), got {value!r}")
 
 
-def _level(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants):
-    """(xi, gamma, d, N) of the bound state (n', kappa): d = n' + gamma and
-    N = hypot(d, xi), after checking that the state exists."""
+def _coupling(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants) -> float:
+    """xi = Z alpha, after checking that the bound state (n', kappa) exists."""
     _require_int("n_prime", n_prime, 0)
     _require_int("Z", Z, 1)
     xi = float(Z) * constants.alpha
@@ -98,13 +105,74 @@ def _level(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants):
         raise ValueError(f"kappa must be a nonzero integer, got {kappa!r}")
     if xi >= abs(kappa):
         raise SupercriticalChargeError(Z, int(kappa), xi)
-    gamma = math.sqrt((float(kappa) - xi) * (float(kappa) + xi))
     if n_prime == 0 and kappa > 0:
         raise ValueError(
             f"no bound state exists with n_prime = 0 and kappa = {kappa} > 0"
         )
+    return xi
+
+
+def _shell_coupling(Z: int, N: int, constants: PhysicalConstants) -> float:
+    """xi of shell N at charge Z, after checking N and that both partners are bound."""
+    _require_int("N", N, 2)
+    xi = _coupling(Z, 0, -int(N), constants)
+    _coupling(Z, 1, int(N) - 1, constants)
+    return xi
+
+
+def _each(fn, *args) -> np.ndarray:
+    """fn applied one element at a time to the broadcast args (at most 1-D).
+
+    NumPy's log, exp, log1p, hypot and power round the last bit differently
+    from math's for a few percent of inputs, so every transcendental of the
+    array kernels goes through math; + - * / and sqrt are exact in both.
+    """
+    args = [np.atleast_1d(a) for a in args]
+    if len(args) > 1:
+        args = np.broadcast_arrays(*args)
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float)
+
+
+def _take(rows, index):
+    """The rows at index (an integer array or a slice) of _Levels or _Radial."""
+    return type(rows)(*(field[..., index] for field in rows))
+
+
+class _Levels(NamedTuple):
+    """Level data of bound states, one array entry per state."""
+
+    gamma: np.ndarray
+    d: np.ndarray  # n' + gamma
+    big_n: np.ndarray  # hypot(d, xi) = xi / lambda
+    energy: np.ndarray  # d / N
+
+
+def _levels(xi, n_prime, kappa) -> _Levels:
+    """Levels of the states (n', kappa) at couplings xi, arrays or scalars.
+
+    The states must exist; _coupling checks that.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    gamma = np.sqrt((kappa - xi) * (kappa + xi))
     d = n_prime + gamma
-    return xi, gamma, d, math.hypot(d, xi)
+    big_n = _each(math.hypot, d, xi)
+    return _Levels(gamma, d, big_n, d / big_n)
+
+
+def _splitting(xi, n, plus: _Levels, minus: _Levels) -> np.ndarray:
+    """E+ - E- of shells n from their partners' levels; see fine_splitting."""
+    xi2 = xi * xi
+    return (
+        2.0
+        * xi2
+        * xi2
+        / (
+            (n - 1.0 + minus.gamma)
+            * (plus.d * plus.d + xi2)
+            * (minus.d * minus.d + xi2)
+            * (plus.energy + minus.energy)
+        )
+    )
 
 
 def bound_energy(
@@ -118,8 +186,8 @@ def bound_energy(
     E = [1 + (xi / (n' + gamma))^2]^(-1/2) with xi = Z alpha and
     gamma = sqrt(kappa^2 - xi^2).  Always in (0, 1) for subcritical xi.
     """
-    _, _, d, big_n = _level(Z, n_prime, kappa, constants)
-    return d / big_n
+    xi = _coupling(Z, n_prime, kappa, constants)
+    return float(_levels(xi, n_prime, kappa).energy[0])
 
 
 def binding_energy(
@@ -133,8 +201,9 @@ def binding_energy(
     Uses E - 1 = -xi^2 / (N (d + N)) with d = n' + gamma, N = hypot(d, xi),
     which stays fully accurate even when the binding is ~xi^2/2n^2 ~ 1e-13.
     """
-    xi, _, d, big_n = _level(Z, n_prime, kappa, constants)
-    return -(xi * xi) / (big_n * (d + big_n))
+    xi = _coupling(Z, n_prime, kappa, constants)
+    level = _levels(xi, n_prime, kappa)
+    return float(-(xi * xi) / (level.big_n * (level.d + level.big_n))[0])
 
 
 def fine_splitting(
@@ -159,23 +228,9 @@ def fine_splitting(
                         (D_plus^2 + xi^2) (D_minus^2 + xi^2)
                         (E_plus + E_minus) ].
     """
-    _require_int("N", N, 2)
-    xi, _, d_plus, hypot_plus = _level(Z, 0, -int(N), constants)
-    _, gamma_minus, d_minus, hypot_minus = _level(Z, 1, int(N) - 1, constants)
-    e_plus = d_plus / hypot_plus
-    e_minus = d_minus / hypot_minus
-    xi2 = xi * xi
-    return (
-        2.0
-        * xi2
-        * xi2
-        / (
-            (N - 1.0 + gamma_minus)
-            * (d_plus * d_plus + xi2)
-            * (d_minus * d_minus + xi2)
-            * (e_plus + e_minus)
-        )
-    )
+    xi = _shell_coupling(Z, N, constants)
+    plus, minus = _levels(xi, 0, [-int(N)]), _levels(xi, 1, [int(N) - 1])
+    return float(_splitting(xi, float(N), plus, minus)[0])
 
 
 @dataclass(frozen=True)
@@ -233,52 +288,84 @@ def state_from_kappa(
     """
     if n_prime not in (0, 1):
         raise ValueError(f"require n_prime in {{0, 1}}, got {n_prime!r}")
-    xi, gamma, d, big_n = _level(Z, n_prime, kappa, constants)  # big_n = xi / lambda
+    xi = _coupling(Z, n_prime, kappa, constants)
     kappa = int(kappa)
-    energy = d / big_n
-    lam = xi / big_n
-    beta = big_n - kappa
-    c = 2.0 * gamma + 1.0
-
-    log_a = (
-        1.5 * math.log(2.0 * lam)
-        - math.lgamma(c)
-        + 0.5 * (math.lgamma(c + n_prime) - _LN4 - math.log(big_n) - math.log(beta))
-    )
-    one_minus_e = lam * lam / (1.0 + energy)
-    g_log = log_a + 0.5 * math.log1p(energy)
-    f_log = log_a + 0.5 * math.log(one_minus_e)
-
-    if n_prime == 0:
-        g_poly = (beta, 0.0)
-        f_poly = (-beta, -0.0)
-    else:
-        c1 = -beta / c
-        if kappa > 0:
-            # beta - 1 is a near-cancellation of order xi^2; use the exact
-            # rewrite (N^2 - (1 + kappa)^2) / (N + 1 + kappa) with
-            # N^2 - (1 + kappa)^2 = 2 (gamma - kappa) = -2 xi^2 / (gamma + kappa).
-            c0_g = -2.0 * xi * xi / ((gamma + kappa) * (big_n + 1.0 + kappa))
-        else:
-            c0_g = beta - 1.0
-        # Phase convention: large component positive at large r.  The
-        # leading coefficient -beta/c is negative, so flip the whole state;
-        # with the -1 of f that leaves only g negated.
-        g_poly = (-c0_g, -c1)
-        f_poly = (beta + 1.0, c1)
-
+    level = _levels(xi, n_prime, [kappa])
+    row = _radial(xi, n_prime, [kappa], level)
     return CircularState(
         Z=int(Z),
         kappa=kappa,
         n_prime=int(n_prime),
-        gamma=gamma,
-        energy=energy,
-        lam=lam,
-        g_log_prefactor=g_log,
-        g_poly=g_poly,
-        f_log_prefactor=f_log,
-        f_poly=f_poly,
+        gamma=float(row.gamma[0]),
+        energy=float(level.energy[0]),
+        lam=float(row.lam[0]),
+        g_log_prefactor=float(row.g_log_prefactor[0]),
+        g_poly=tuple(row.g_poly[:, 0].tolist()),
+        f_log_prefactor=float(row.f_log_prefactor[0]),
+        f_poly=tuple(row.f_poly[:, 0].tolist()),
     )
+
+
+class _Radial(NamedTuple):
+    """Radial data of bound states, one array entry per state.
+
+    The fields are CircularState's, with each polynomial a (2, states)
+    array, so that _overlap reads either.
+    """
+
+    gamma: np.ndarray
+    lam: np.ndarray
+    g_log_prefactor: np.ndarray
+    g_poly: np.ndarray
+    f_log_prefactor: np.ndarray
+    f_poly: np.ndarray
+
+
+def _radial(xi: float, n_prime, kappa, level: _Levels) -> _Radial:
+    """Radial data of the states (n', kappa), n' in {0, 1}, from their levels.
+
+    See state_from_kappa; n_prime and kappa are scalars or arrays.
+    """
+    n_prime = np.asarray(n_prime)
+    kappa = np.asarray(kappa, dtype=float)
+    big_n = level.big_n
+    lam = xi / big_n
+    beta = big_n - kappa
+    c = 2.0 * level.gamma + 1.0
+
+    log_a = (
+        1.5 * _each(math.log, 2.0 * lam)
+        - _each(math.lgamma, c)
+        + 0.5
+        * (
+            _each(math.lgamma, c + n_prime)
+            - _LN4
+            - _each(math.log, big_n)
+            - _each(math.log, beta)
+        )
+    )
+    one_minus_e = lam * lam / (1.0 + level.energy)
+    g_log = log_a + 0.5 * _each(math.log1p, level.energy)
+    f_log = log_a + 0.5 * _each(math.log, one_minus_e)
+
+    # n' = 0: P_g = beta and P_f = -beta.
+    nodeless = np.stack([beta, np.zeros_like(beta)])
+    # n' = 1: beta - 1 is a near-cancellation of order xi^2 for kappa > 0;
+    # use the exact rewrite (N^2 - (1 + kappa)^2) / (N + 1 + kappa) with
+    # N^2 - (1 + kappa)^2 = 2 (gamma - kappa) = -2 xi^2 / (gamma + kappa).
+    c1 = -beta / c
+    c0_g = np.where(
+        kappa > 0,
+        -2.0 * xi * xi / ((level.gamma + kappa) * (big_n + 1.0 + kappa)),
+        beta - 1.0,
+    )
+    # Phase convention: large component positive at large r.  The leading
+    # coefficient -beta/c of n' = 1 is negative, so flip the whole state;
+    # with the -1 of f that leaves only g negated.
+    one_node = n_prime == 1
+    g_poly = np.where(one_node, np.stack([-c0_g, -c1]), nodeless)
+    f_poly = np.where(one_node, np.stack([beta + 1.0, c1]), -nodeless)
+    return _Radial(level.gamma, lam, g_log, g_poly, f_log, f_poly)
 
 
 def make_circular_state(
@@ -325,7 +412,7 @@ def eval_radial(state: CircularState, r):
     return g, f
 
 
-def _part_data(state: CircularState, letter: str):
+def _part_data(state, letter: str):
     if letter == "g":
         return state.g_log_prefactor, state.g_poly
     return state.f_log_prefactor, state.f_poly
@@ -351,6 +438,11 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
     everything is assembled in log space with one final exp.
     """
     _check_pair(a, b, part)
+    return float(_overlap(a, b, part)[0])
+
+
+def _overlap(a, b, part: str) -> np.ndarray:
+    """overlap_closed_form of a and b, CircularStates or _Radial rows, row by row."""
     log_a, poly_a = _part_data(a, part[0])
     log_b, poly_b = _part_data(b, part[1])
 
@@ -367,13 +459,13 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
     base = (
         log_a
         + log_b
-        + (a.gamma - 1.0) * math.log(2.0 * a.lam)
-        + (b.gamma - 1.0) * math.log(2.0 * b.lam)
-        + math.lgamma(big_g + 1.0)
-        - (big_g + 1.0) * math.log(lam_sum)
+        + (a.gamma - 1.0) * _each(math.log, 2.0 * a.lam)
+        + (b.gamma - 1.0) * _each(math.log, 2.0 * b.lam)
+        + _each(math.lgamma, big_g + 1.0)
+        - (big_g + 1.0) * _each(math.log, lam_sum)
     )
     bracket = q0 + (big_g + 1.0) / lam_sum * (q1 + q2 * (big_g + 2.0) / lam_sum)
-    return bracket * math.exp(base)
+    return bracket * _each(math.exp, base)
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,18 @@ E+(l) - E-(l+2).
 
 Everything time-dependent is evaluated from immutable precomputed tables,
 so one autocorrelation or spin sample costs O(window size) and vectorizes
-over time arrays.
+over time arrays.  build_tables computes the window's energies,
+splittings and radial integrals as arrays over n in one pass; the
+CircularState objects of the window (PacketTables.states, and the kets
+built from them) are made on first read, which only the density does.
+timescales evaluates its Taylor jets for many (Z, N) points at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -45,10 +49,17 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
     Branch,
     CircularState,
-    _level,
+    _coupling,
+    _each,
+    _levels,
+    _overlap,
+    _radial,
     _require_int,
-    fine_splitting,
+    _shell_coupling,
+    _splitting,
+    _take,
     make_circular_state,
+    # Not called here; bench/tracing.py wraps both on this module.
     overlap_closed_form,
     overlap_set,
 )
@@ -119,10 +130,10 @@ class PacketSpec:
             )
         # The first shell's j_minus partner has the window's smallest |kappa|,
         # so checking it checks the charge and every state of the window.
-        _level(self.Z, 1, n_min - 1, self.constants)
+        _coupling(self.Z, 1, n_min - 1, self.constants)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weights:
     """Gaussian shell weights over the window, normalized to sum(w^2) = 1."""
 
@@ -156,7 +167,7 @@ class Ket:
     radial_part: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PacketTables:
     """Immutable precomputed coefficient tables for one packet.
 
@@ -172,13 +183,13 @@ class PacketTables:
       and of the spin series (s*); each already carries w_l^2 and the
       radial integrals, so an observable is a dot product against phase
       factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos.
-      sy_sin equals sx_cos and is kept for bench/checks.py;
-    - states = (states_plus, states_minus), the j+ and j- partner of each
-      window shell, in the order of weights.n.
+      sy_sin equals sx_cos and is kept for bench/checks.py.
 
-    kets, the stationary-state expansion behind the density, is derived
-    from states on first read and then kept, so packets that never read
-    it (the time series and small-component norms) do not build it.
+    states, the j+ and j- partner of each window shell, and kets, the
+    stationary-state expansion behind the density, are built from the spec
+    on first read and then kept, so packets that never read them (the time
+    series, small-component norms and sweeps) build no CircularState.
+    Tables compare equal only to themselves, and hash by identity.
     """
 
     spec: PacketSpec
@@ -200,7 +211,15 @@ class PacketTables:
     sy_sin: np.ndarray
     sz_const: np.ndarray
     sz_cos: np.ndarray
-    states: tuple[tuple[CircularState, ...], tuple[CircularState, ...]] = field(repr=False)
+
+    @functools.cached_property
+    def states(self) -> tuple[tuple[CircularState, ...], tuple[CircularState, ...]]:
+        """(states_plus, states_minus), in the order of weights.n."""
+        Z, constants = self.spec.Z, self.spec.constants
+        return tuple(
+            tuple(make_circular_state(Z, int(n), branch, constants) for n in self.weights.n)
+            for branch in (Branch.J_PLUS, Branch.J_MINUS)
+        )
 
     @functools.cached_property
     def kets(self) -> tuple[Ket, ...]:
@@ -270,46 +289,57 @@ def build_tables(
     relativistic radial corrections.
     """
     weights = build_weights(spec)
-    n_values = weights.n
-    a, b = spec.a, spec.b
+    n = weights.n
+    count = len(n)
+    # The window's states as arrays: the j+ partners (n' = 0, kappa = -n),
+    # then the j- partners (n' = 1, kappa = n - 1).  PacketSpec ran the
+    # check that _coupling repeats.
+    xi = _coupling(spec.Z, 1, int(n[0]) - 1, spec.constants)
+    n_prime = np.repeat([0, 1], count)
+    kappa = np.concatenate([-n, n - 1])
+    level = _levels(xi, n_prime, kappa)
+    plus, minus = _take(level, slice(None, count)), _take(level, slice(count, None))
+    omega = _splitting(xi, n, plus, minus)
 
-    states_plus = tuple(
-        make_circular_state(spec.Z, int(n), Branch.J_PLUS, spec.constants)
-        for n in n_values
-    )
-    states_minus = tuple(
-        make_circular_state(spec.Z, int(n), Branch.J_MINUS, spec.constants)
-        for n in n_values
-    )
-
-    count = len(n_values)
-    e_plus = np.array([s.energy for s in states_plus])
-    e_minus = np.array([s.energy for s in states_minus])
-    omega = np.array(
-        [fine_splitting(spec.Z, int(n), spec.constants) for n in n_values]
-    )
-
-    # f_prime[i] = F'_l = <f+(l)|f-(l + 2)>, over the orbitals with l + 2
-    # still in the window, like every cross array.
     if nonrelativistic_radial:
-        g_plus = g_minus = g_pm = np.ones(count)
-        f_plus = f_minus = np.zeros(count)
-        f_prime = np.zeros(max(0, count - 2))
+        ones, zeros = np.ones(count), np.zeros(count)
+        radial = (ones, ones, ones, zeros, zeros, zeros[2:])
     else:
-        sets = [overlap_set(sp, sm) for sp, sm in zip(states_plus, states_minus)]
-        g_plus = np.array([o.g_plus for o in sets])
-        g_minus = np.array([o.g_minus for o in sets])
-        g_pm = np.array([o.g_pm for o in sets])
-        f_plus = np.array([o.f_plus for o in sets])
-        f_minus = np.array([o.f_minus for o in sets])
-        f_prime = np.array(
-            [
-                overlap_closed_form(sp, sm, "ff")
-                for sp, sm in zip(states_plus, states_minus[2:])
-            ]
+        states = _radial(xi, n_prime, kappa, level)
+        p = np.arange(count)
+        m = p + count
+        # <g+|g+>, <g-|g->, <g+|g->; then <f+|f+>, <f-|f->, and over the
+        # orbitals with l + 2 still in the window F'_l = <f+(l)|f-(l + 2)>.
+        gg = _overlap(
+            _take(states, np.concatenate([p, m, p])),
+            _take(states, np.concatenate([p, m, m])),
+            "gg",
         )
+        ff = _overlap(
+            _take(states, np.concatenate([p, m, p[:-2]])),
+            _take(states, np.concatenate([p, m, m[2:]])),
+            "ff",
+        )
+        radial = (*np.split(gg, 3), *np.split(ff, [count, 2 * count]))
+    return _tables(spec, weights, plus.energy, minus.energy, omega, *radial)
 
-    lf = (n_values - 1).astype(float)
+
+def _tables(
+    spec: PacketSpec,
+    weights: Weights,
+    e_plus: np.ndarray,
+    e_minus: np.ndarray,
+    omega: np.ndarray,
+    g_plus: np.ndarray,
+    g_minus: np.ndarray,
+    g_pm: np.ndarray,
+    f_plus: np.ndarray,
+    f_minus: np.ndarray,
+    f_prime: np.ndarray,
+) -> PacketTables:
+    """The tables of spec from the partners' energies and radial integrals."""
+    a, b = spec.a, spec.b
+    lf = (weights.n - 1).astype(float)
     lc = lf[:-2]
     w = weights.w
     omega_tilde = e_plus[:-2] - e_minus[2:]
@@ -375,7 +405,6 @@ def build_tables(
         sy_sin=_freeze(sy_sin),
         sz_const=_freeze(sz_const),
         sz_cos=_freeze(sz_cos),
-        states=(states_plus, states_minus),
     )
 
 
@@ -462,90 +491,90 @@ def small_norm(tables: PacketTables) -> SmallNorm:
 
 
 class _Jet:
-    """Truncated Taylor series in (n - n0): exact analytic derivatives.
+    """Truncated Taylor series in (n - n0), one row per expansion point.
 
-    Supports the four operations the energy branches need (+, -, *, /,
-    sqrt); coefficient k equals d^k E / dn^k / k!.  Composition of exact
+    Supports the operations the energy branches need (+, -, *, /, sqrt);
+    coefficient c[:, k] equals d^k E / dn^k / k!.  Composition of exact
     series arithmetic carries no truncation error, unlike finite
-    differences.
+    differences.  Each coefficient of a product or quotient is one
+    np.vecdot per row; its second operand is copied to contiguous rows,
+    since over a reversed view vecdot rounds differently from np.dot.
     """
 
     __slots__ = ("c",)
+    # An ndarray on the left defers to the reflected _Jet method.
+    __array_ufunc__ = None
 
     def __init__(self, coeffs: np.ndarray):
         self.c = coeffs
 
     @classmethod
-    def variable(cls, value: float, order: int) -> "_Jet":
-        c = np.zeros(order + 1)
-        c[0] = value
+    def variable(cls, value: np.ndarray, order: int) -> "_Jet":
+        c = np.zeros((len(value), order + 1))
+        c[:, 0] = value
         if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    @classmethod
-    def const(cls, value: float, order: int) -> "_Jet":
-        c = np.zeros(order + 1)
-        c[0] = value
+            c[:, 1] = 1.0
         return cls(c)
 
     def __add__(self, other):
         if isinstance(other, _Jet):
             return _Jet(self.c + other.c)
         c = self.c.copy()
-        c[0] += other
+        c[:, 0] += other
         return _Jet(c)
 
     def __sub__(self, other):
         if isinstance(other, _Jet):
             return _Jet(self.c - other.c)
         c = self.c.copy()
-        c[0] -= other
+        c[:, 0] -= other
         return _Jet(c)
 
     def __rsub__(self, other):
         c = -self.c
-        c[0] += other
+        c[:, 0] += other
         return _Jet(c)
 
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return _Jet(self.c * other)
-        n = len(self.c)
-        out = np.zeros(n)
-        for k in range(n):
-            out[k] = np.dot(self.c[: k + 1], other.c[k::-1])
+        out = np.zeros_like(self.c)
+        for k in range(out.shape[1]):
+            out[:, k] = np.vecdot(self.c[:, : k + 1], _reversed(other.c[:, : k + 1]))
         return _Jet(out)
 
-    def __truediv__(self, other):
-        if not isinstance(other, _Jet):
-            return _Jet(self.c / other)
-        n = len(self.c)
-        out = np.zeros(n)
-        out[0] = self.c[0] / other.c[0]
-        for k in range(1, n):
-            out[k] = (self.c[k] - np.dot(other.c[1 : k + 1], out[k - 1 :: -1])) / other.c[0]
+    def __truediv__(self, other: "_Jet") -> "_Jet":
+        out = np.zeros_like(self.c)
+        out[:, 0] = self.c[:, 0] / other.c[:, 0]
+        for k in range(1, out.shape[1]):
+            acc = np.vecdot(other.c[:, 1 : k + 1], _reversed(out[:, :k]))
+            out[:, k] = (self.c[:, k] - acc) / other.c[:, 0]
         return _Jet(out)
 
     def __rtruediv__(self, other):
-        return _Jet.const(other, len(self.c) - 1) / self
+        c = np.zeros_like(self.c)
+        c[:, 0] = other
+        return _Jet(c) / self
 
     def sqrt(self) -> "_Jet":
-        n = len(self.c)
-        out = np.zeros(n)
-        out[0] = math.sqrt(self.c[0])
-        for k in range(1, n):
-            acc = np.dot(out[1:k], out[k - 1 : 0 : -1]) if k >= 2 else 0.0
-            out[k] = (self.c[k] - acc) / (2.0 * out[0])
+        out = np.zeros_like(self.c)
+        out[:, 0] = np.sqrt(self.c[:, 0])
+        for k in range(1, out.shape[1]):
+            acc = np.vecdot(out[:, 1:k], _reversed(out[:, 1:k])) if k >= 2 else 0.0
+            out[:, k] = (self.c[:, k] - acc) / (2.0 * out[:, 0])
         return _Jet(out)
 
 
-def _energy_jet_plus(xi: float, n0: float, order: int) -> _Jet:
+def _reversed(c: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(c[:, ::-1])
+
+
+def _energy_jet_plus(xi: np.ndarray, n0: np.ndarray, order: int) -> _Jet:
     n = _Jet.variable(n0, order)
     return (1.0 - (xi * xi) / (n * n)).sqrt()
 
 
-def _energy_jet_minus(xi: float, n0: float, order: int) -> _Jet:
+def _energy_jet_minus(xi: np.ndarray, n0: np.ndarray, order: int) -> _Jet:
     n = _Jet.variable(n0, order)
     u = n - 1.0
     d = (u * u - xi * xi).sqrt() + 1.0
@@ -598,32 +627,46 @@ def timescales(
     the stretched-partner energy curve "j_plus" (default) or the
     "averaged" curve (E+ + E-)/2.
     """
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or not 0 < k_max < 7:
-        raise ValueError(f"require 1 <= k_max <= 6, got {k_max!r}")
-    # fine_splitting checks N, the charge and that both partners are bound.
-    t_ls = 2.0 * math.pi / fine_splitting(Z, N, constants)
-    xi = float(Z) * constants.alpha
-    if branch == "j_plus":
-        jet = _energy_jet_plus(xi, float(N), int(k_max))
-    elif branch == "averaged":
-        jet = (
-            _energy_jet_plus(xi, float(N), int(k_max))
-            + _energy_jet_minus(xi, float(N), int(k_max))
-        ) * 0.5
-    else:
-        raise ValueError(f"branch must be 'j_plus' or 'averaged', got {branch!r}")
-
-    t = {}
-    for k in range(1, int(k_max) + 1):
-        coef = jet.c[k]
-        if coef == 0.0:
-            raise ValueError(f"degenerate derivative order k = {k} at N = {N}")
-        t[k] = 2.0 * math.pi / abs(coef)
+    t, t_ls, t_cl = _timescale_rows([Z], [N], k_max, constants, branch)
     return TimeScales(
         Z=int(Z),
         N=int(N),
-        t=t,
-        t_ls=t_ls,
-        t_cl=2.0 * math.pi * float(N) ** 3 / (xi * xi),
+        t=dict(enumerate(t[0].tolist(), start=1)),
+        t_ls=float(t_ls[0]),
+        t_cl=float(t_cl[0]),
         constants=constants,
     )
+
+
+def _timescale_rows(
+    Z: list[int],
+    N: list[int],
+    k_max: int,
+    constants: PhysicalConstants,
+    branch: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """timescales at the points (Z[i], N[i]): t[i, k - 1], t_ls[i] and t_cl[i].
+
+    The points are checked in order, so an error names the first bad one.
+    """
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or not 0 < k_max < 7:
+        raise ValueError(f"require 1 <= k_max <= 6, got {k_max!r}")
+    xi = np.array([_shell_coupling(z, n, constants) for z, n in zip(Z, N)])
+    n = np.asarray(N, dtype=float)
+    plus = _levels(xi, 0, [-int(v) for v in N])
+    minus = _levels(xi, 1, [int(v) - 1 for v in N])
+    t_ls = 2.0 * math.pi / _splitting(xi, n, plus, minus)
+    if branch == "j_plus":
+        jet = _energy_jet_plus(xi, n, int(k_max))
+    elif branch == "averaged":
+        jet = (_energy_jet_plus(xi, n, int(k_max)) + _energy_jet_minus(xi, n, int(k_max))) * 0.5
+    else:
+        raise ValueError(f"branch must be 'j_plus' or 'averaged', got {branch!r}")
+
+    coef = jet.c[:, 1:]
+    degenerate = np.argwhere(coef == 0.0)
+    if degenerate.size:
+        point, k = degenerate[0]
+        raise ValueError(f"degenerate derivative order k = {k + 1} at N = {N[point]}")
+    t = 2.0 * math.pi / np.abs(coef)
+    return t, t_ls, 2.0 * math.pi * _each(math.pow, n, 3.0) / (xi * xi)

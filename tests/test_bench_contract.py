@@ -64,11 +64,23 @@ def test_tracer_installs_and_restores_on_the_package(tracing, tmp_path):
     for layer in (
         "cli.cmd", "cli.write", "packet.build_tables", "packet.timescales",
         "packet.autocorrelation", "packet.spin_expect", "density.density_grid",
-        "dirac_coulomb.make_circular_state", "dirac_coulomb.overlap",
-        "dirac_coulomb.eval_radial",
+        "dirac_coulomb.make_circular_state", "dirac_coulomb.eval_radial",
     ):
         assert wall.get(layer, 0.0) > 0.0, layer
     assert tracer.counts["density.nodes"] == 32 * 32
+
+
+def test_sweeps_build_no_states(tracing, tmp_path):
+    # build_tables and timescales work on arrays; only the density reads states.
+    tracer = tracing.Tracer(cli, packet, density)
+    with tracer.installed():
+        for argv in JOBS:
+            if argv[0] in ("smallnorm", "timescales"):
+                with tracer.job():
+                    assert cli.main([*argv, "--out", str(tmp_path / f"{argv[0]}.csv")]) == 0
+    assert tracer.counts["packet.build_tables_calls"] == 8
+    assert tracer.counts["dirac_coulomb.make_circular_state_calls"] == 0
+    assert tracer.counts["dirac_coulomb.overlap_calls"] == 0
 
 
 def test_checks_accept_every_subcommand_output(checks, tmp_path):

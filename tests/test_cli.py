@@ -314,6 +314,29 @@ def test_supercritical_charge_reports_and_exits(capsys):
     assert "138" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The first failing point in Z-major order: Z = 138 binds no j- partner at N = 2.
+        (
+            ["--Z", "130:140", "--N", "2"],
+            "supercritical coupling: Z*alpha = 1.00703465 >= |kappa| = 1 (Z = 138, kappa = 1)",
+        ),
+        (
+            ["--Z", "275:280", "--N", "3:4"],
+            "supercritical coupling: Z*alpha = 2.00677194 >= |kappa| = 2 (Z = 275, kappa = 2)",
+        ),
+        (["--Z", "136:139", "--N", "1:3"], "require N >= 2 (an integer), got 1"),
+        (["--Z", "1:4", "--N", "2:6", "--kmax", "7"], "require 1 <= k_max <= 6, got 7"),
+        (["--Z", "1", "--N", "2", "--kmax", "0"], "require 1 <= k_max <= 6, got 0"),
+    ],
+    ids=["supercritical-z138", "supercritical-z275", "n-below-2", "kmax-7", "kmax-0"],
+)
+def test_timescales_sweep_reports_its_first_bad_point(argv, message, capsys):
+    rc, out, err = run_cli(["timescales", *argv], capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_empty_and_malformed_ranges(capsys):
     rc, _, err = run_cli(["smallnorm", "--Z", "5:2", "--N", "10"], capsys)
     assert rc == 2

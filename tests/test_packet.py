@@ -120,6 +120,22 @@ def test_kets_are_built_on_first_read():
     assert tab.kets is kets
 
 
+def test_states_are_built_on_first_read():
+    tab = build_tables(PacketSpec(Z=92, N=20, sigma_g=2.0))
+    assert "states" not in vars(tab)
+    states = tab.states
+    assert tab.states is states
+
+
+def test_tables_compare_and_hash_by_identity():
+    spec = PacketSpec(Z=92, N=20, sigma_g=2.0)
+    first, second = build_tables(spec), build_tables(spec)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+    assert first.weights == first.weights and first.weights != second.weights
+    assert len({first.weights, second.weights}) == 2
+
+
 def test_states_pair_with_window_shells(tables_u92_n20):
     states_plus, states_minus = tables_u92_n20.states
     n = tables_u92_n20.weights.n.tolist()

@@ -3,11 +3,14 @@
 Every packet drawn here is checked for the invariants that hold for any
 spin amplitudes and shell weights: A(0) = 1, |A| <= 1, unitarity of the
 four component norms, a spin vector no longer than 1, and a small-component
-population in [0, 1).  Specs that PacketSpec rejects (supercritical window
-shells) are skipped.
+population in [0, 1).  The tables built as arrays over the window must equal,
+bit for bit, the tables assembled from the scalar energies, splittings and
+overlaps of the window's states, for N up to 500.  Specs that PacketSpec rejects
+(supercritical window shells) are skipped.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, reject
@@ -18,10 +21,14 @@ from diracpacket import (
     autocorrelation,
     build_tables,
     component_norms,
+    fine_splitting,
+    overlap_closed_form,
+    overlap_set,
     small_norm,
     spin_expect,
     timescales,
 )
+from diracpacket.packet import _tables
 
 TOL = 1e-12
 
@@ -69,3 +76,35 @@ def test_cross_arrays_cover_orbitals_two_shells_apart(Z, N, shells, below):
     assert len(tables.weights.n - 1) == shells
     assert len(tables.k_coef) == len(tables.omega_tilde) == max(0, shells - 2)
     assert abs(autocorrelation(tables, 0.0) - 1.0) <= TOL
+
+
+@given(
+    Z=st.integers(1, 137),
+    N=st.integers(2, 500),
+    sigma_g=st.floats(0.3, 4.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_array_tables_match_scalar_states_bit_for_bit(Z, N, sigma_g, theta):
+    spec = _spec(Z=Z, N=N, sigma_g=sigma_g, a=math.cos(theta), b=math.sin(theta))
+    tables = build_tables(spec)
+    plus, minus = tables.states
+    sets = [overlap_set(p, m) for p, m in zip(plus, minus)]
+    same_l = [
+        np.array([getattr(o, name) for o in sets])
+        for name in ("g_plus", "g_minus", "g_pm", "f_plus", "f_minus")
+    ]
+    rebuilt = _tables(
+        spec,
+        tables.weights,
+        np.array([s.energy for s in plus]),
+        np.array([s.energy for s in minus]),
+        np.array([fine_splitting(Z, int(n)) for n in tables.weights.n]),
+        *same_l,
+        np.array([overlap_closed_form(p, m, "ff") for p, m in zip(plus, minus[2:])]),
+    )
+    for field in fields(tables):
+        value = getattr(tables, field.name)
+        if isinstance(value, np.ndarray):
+            expected = getattr(rebuilt, field.name)
+            assert value.dtype == expected.dtype and value.shape == expected.shape, field.name
+            assert value.tobytes() == expected.tobytes(), field.name
