@@ -50,11 +50,13 @@ exponent before a single exp call, so states up to n of a few hundred
 evaluate without intermediate overflow.
 
 The levels, radial data and overlaps are computed by kernels over NumPy
-arrays of states (_levels, _radial, _overlap).  build_tables calls them
-once per shell window; state_from_kappa, overlap_closed_form and the
-energies call them with one row, so each formula has one home.  Every
-transcendental goes through math one element at a time, which makes a
-result independent of how many states are evaluated together.
+arrays of states (_levels, _radial, _overlap).  This module owns the
+circular shell layout: only _shells labels a shell's two partners, and
+_window_rows and _shell_splittings hand the packet module whole shells.
+state_from_kappa, overlap_closed_form and the energies call the kernels
+with one row, so each formula has one home.  Every transcendental goes
+through math one element at a time, which makes a result independent of
+how many states are evaluated together.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 
 _LN4 = math.log(4.0)
+
+# Largest shell n = n' + |kappa| of a state: a guard against overflowing
+# integer arrays, not an accuracy limit; see README.
+_MAX_N = 100_000
 
 
 class Branch(enum.Enum):
@@ -103,20 +109,14 @@ def _coupling(Z: int, n_prime: int, kappa: int, constants: PhysicalConstants) ->
     xi = float(Z) * constants.alpha
     if isinstance(kappa, bool) or not isinstance(kappa, (int, np.integer)) or kappa == 0:
         raise ValueError(f"kappa must be a nonzero integer, got {kappa!r}")
+    if n_prime + abs(kappa) > _MAX_N:
+        raise ValueError(f"require n <= {_MAX_N}, got {n_prime + abs(kappa)}")
     if xi >= abs(kappa):
         raise SupercriticalChargeError(Z, int(kappa), xi)
     if n_prime == 0 and kappa > 0:
         raise ValueError(
             f"no bound state exists with n_prime = 0 and kappa = {kappa} > 0"
         )
-    return xi
-
-
-def _shell_coupling(Z: int, N: int, constants: PhysicalConstants) -> float:
-    """xi of shell N at charge Z, after checking N and that both partners are bound."""
-    _require_int("N", N, 2)
-    xi = _coupling(Z, 0, -int(N), constants)
-    _coupling(Z, 1, int(N) - 1, constants)
     return xi
 
 
@@ -139,8 +139,10 @@ def _take(rows, index):
 
 
 class _Levels(NamedTuple):
-    """Level data of bound states, one array entry per state."""
+    """Labels and level data of bound states, one array entry per state."""
 
+    n_prime: np.ndarray
+    kappa: np.ndarray  # as floats
     gamma: np.ndarray
     d: np.ndarray  # n' + gamma
     big_n: np.ndarray  # hypot(d, xi) = xi / lambda
@@ -156,23 +158,35 @@ def _levels(xi, n_prime, kappa) -> _Levels:
     gamma = np.sqrt((kappa - xi) * (kappa + xi))
     d = n_prime + gamma
     big_n = _each(math.hypot, d, xi)
-    return _Levels(gamma, d, big_n, d / big_n)
+    return _Levels(n_prime, kappa, gamma, d, big_n, d / big_n)
 
 
-def _splitting(xi, n, plus: _Levels, minus: _Levels) -> np.ndarray:
-    """E+ - E- of shells n from their partners' levels; see fine_splitting."""
+def _shells(xi, n) -> tuple[_Levels, np.ndarray]:
+    """Partner levels of the shells n at couplings xi, and their splittings E+ - E-.
+
+    The rows are the j+ partners (n' = 0, kappa = -n), then the j- partners
+    (n' = 1, kappa = n - 1); no other code writes these labels.  For the
+    splitting see fine_splitting.
+    """
+    n = np.asarray(n)
+    count = len(n)
+    xi_rows = np.tile(np.broadcast_to(xi, n.shape), 2)
+    level = _levels(xi_rows, np.repeat([0, 1], count), np.concatenate([-n, n - 1]))
+    plus, minus = _take(level, slice(None, count)), _take(level, slice(count, None))
     xi2 = xi * xi
-    return (
-        2.0
-        * xi2
-        * xi2
-        / (
-            (n - 1.0 + minus.gamma)
-            * (plus.d * plus.d + xi2)
-            * (minus.d * minus.d + xi2)
-            * (plus.energy + minus.energy)
-        )
-    )
+    denominator = (n - 1.0 + minus.gamma) * (plus.d * plus.d + xi2) * (minus.d * minus.d + xi2)
+    return level, 2.0 * xi2 * xi2 / (denominator * (plus.energy + minus.energy))
+
+
+def _shell_splittings(Z, N, constants: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
+    """xi and E+ - E- at the points (Z[i], N[i]); an error names the first bad point."""
+    xi = []
+    for z, shell in zip(Z, N):
+        _require_int("N", shell, 2)
+        xi.append(_coupling(z, 0, -int(shell), constants))
+        _coupling(z, 1, int(shell) - 1, constants)
+    xi = np.array(xi)
+    return xi, _shells(xi, N)[1]
 
 
 def bound_energy(
@@ -228,9 +242,7 @@ def fine_splitting(
                         (D_plus^2 + xi^2) (D_minus^2 + xi^2)
                         (E_plus + E_minus) ].
     """
-    xi = _shell_coupling(Z, N, constants)
-    plus, minus = _levels(xi, 0, [-int(N)]), _levels(xi, 1, [int(N) - 1])
-    return float(_splitting(xi, float(N), plus, minus)[0])
+    return float(_shell_splittings([Z], [N], constants)[1][0])
 
 
 @dataclass(frozen=True)
@@ -291,7 +303,7 @@ def state_from_kappa(
     xi = _coupling(Z, n_prime, kappa, constants)
     kappa = int(kappa)
     level = _levels(xi, n_prime, [kappa])
-    row = _radial(xi, n_prime, [kappa], level)
+    row = _radial(xi, level)
     return CircularState(
         Z=int(Z),
         kappa=kappa,
@@ -321,14 +333,9 @@ class _Radial(NamedTuple):
     f_poly: np.ndarray
 
 
-def _radial(xi: float, n_prime, kappa, level: _Levels) -> _Radial:
-    """Radial data of the states (n', kappa), n' in {0, 1}, from their levels.
-
-    See state_from_kappa; n_prime and kappa are scalars or arrays.
-    """
-    n_prime = np.asarray(n_prime)
-    kappa = np.asarray(kappa, dtype=float)
-    big_n = level.big_n
+def _radial(xi: float, level: _Levels) -> _Radial:
+    """Radial data of the states of level, n' in {0, 1}; see state_from_kappa."""
+    n_prime, kappa, big_n = level.n_prime, level.kappa, level.big_n
     lam = xi / big_n
     beta = big_n - kappa
     c = 2.0 * level.gamma + 1.0
@@ -353,12 +360,11 @@ def _radial(xi: float, n_prime, kappa, level: _Levels) -> _Radial:
     # n' = 1: beta - 1 is a near-cancellation of order xi^2 for kappa > 0;
     # use the exact rewrite (N^2 - (1 + kappa)^2) / (N + 1 + kappa) with
     # N^2 - (1 + kappa)^2 = 2 (gamma - kappa) = -2 xi^2 / (gamma + kappa).
+    # Only the kappa > 0 rows get it: for kappa < 0, gamma + kappa can round to 0.
     c1 = -beta / c
-    c0_g = np.where(
-        kappa > 0,
-        -2.0 * xi * xi / ((level.gamma + kappa) * (big_n + 1.0 + kappa)),
-        beta - 1.0,
-    )
+    c0_g = beta - 1.0
+    up = kappa > 0
+    c0_g[up] = -2.0 * xi * xi / ((level.gamma[up] + kappa[up]) * (big_n[up] + 1.0 + kappa[up]))
     # Phase convention: large component positive at large r.  The leading
     # coefficient -beta/c of n' = 1 is negative, so flip the whole state;
     # with the -1 of f that leaves only g negated.
@@ -466,6 +472,34 @@ def _overlap(a, b, part: str) -> np.ndarray:
     )
     bracket = q0 + (big_g + 1.0) / lam_sum * (q1 + q2 * (big_g + 2.0) / lam_sum)
     return bracket * _each(math.exp, base)
+
+
+def _window_rows(xi: float, n: np.ndarray, nonrelativistic_radial: bool) -> tuple:
+    """e_plus, e_minus, omega and the radial integrals of the shells n, a range.
+
+    The integrals are <g+|g+>, <g-|g->, <g+|g->, <f+|f+>, <f-|f->, and
+    F'(n) = <f+(n)|f-(n + 2)> over all but the last two shells; with
+    nonrelativistic_radial, their limits 1 (g) and 0 (f).  A row depends
+    only on xi and its shell, so a sub-range's rows are a slice of these.
+    """
+    level, omega = _shells(xi, n)
+    count = len(n)
+    energies = (level.energy[:count], level.energy[count:], omega)
+    if nonrelativistic_radial:
+        ones, zeros = np.ones(count), np.zeros(count)
+        return *energies, ones, ones, ones, zeros, zeros, zeros[2:]
+    rows = _radial(xi, level)
+    p = np.arange(count)
+    m = p + count
+    gg = _overlap(
+        _take(rows, np.concatenate([p, m, p])), _take(rows, np.concatenate([p, m, m])), "gg"
+    )
+    ff = _overlap(
+        _take(rows, np.concatenate([p, m, p[:-2]])),
+        _take(rows, np.concatenate([p, m, m[2:]])),
+        "ff",
+    )
+    return *energies, *np.split(gg, 3), *np.split(ff, [count, 2 * count])
 
 
 @dataclass(frozen=True)

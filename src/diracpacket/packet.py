@@ -29,11 +29,14 @@ E+(l) - E-(l+2).
 
 Everything time-dependent is evaluated from immutable precomputed tables,
 so one autocorrelation or spin sample costs O(window size) and vectorizes
-over time arrays.  build_tables computes the window's energies,
-splittings and radial integrals as arrays over n in one pass; the
-CircularState objects of the window (PacketTables.states, and the kets
-built from them) are made on first read, which only the density does.
-timescales evaluates its Taylor jets for many (Z, N) points at once.
+over time arrays.  dirac_coulomb owns how a shell maps to its two
+partner states: build_tables takes the window's energies, splittings and
+radial integrals from one _window_rows call and forms only the
+coefficients here, and timescales takes its splittings from
+_shell_splittings.  The CircularState objects of the window
+(PacketTables.states, and the kets built from them) are made on first
+read, which only the density does.  timescales evaluates its Taylor jets
+for many (Z, N) points at once.
 """
 
 from __future__ import annotations
@@ -51,13 +54,9 @@ from .dirac_coulomb import (
     CircularState,
     _coupling,
     _each,
-    _levels,
-    _overlap,
-    _radial,
     _require_int,
-    _shell_coupling,
-    _splitting,
-    _take,
+    _shell_splittings,
+    _window_rows,
     make_circular_state,
     # Not called here; bench/tracing.py wraps both on this module.
     overlap_closed_form,
@@ -83,7 +82,8 @@ class PacketSpec:
     window defaults to [max(2, N - ceil(5 sigma_g)), N + ceil(5 sigma_g)],
     wide enough that the clipped Gaussian tails carry < 1e-10 of the
     weight.  The lower clamp at 2 keeps every shell's j_minus partner in
-    existence (l = n - 1 >= 1).  A window holds at most 1,001 shells.
+    existence (l = n - 1 >= 1).  A window holds at most 1,001 shells, and
+    none above n = 100,000.
     """
 
     Z: int
@@ -128,9 +128,11 @@ class PacketSpec:
             raise ValueError(
                 f"window {self.window!r} does not contain the centroid N = {self.N}"
             )
-        # The first shell's j_minus partner has the window's smallest |kappa|,
-        # so checking it checks the charge and every state of the window.
+        # The first shell's j_minus partner has the window's smallest |kappa|
+        # and the last shell's j_plus partner its largest n, so checking the
+        # two checks the charge and every state of the window.
         _coupling(self.Z, 1, n_min - 1, self.constants)
+        _coupling(self.Z, 0, -n_max, self.constants)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +184,9 @@ class PacketTables:
     - the coefficients of A(t) (acf_*), of the component norms (norm*)
       and of the spin series (s*); each already carries w_l^2 and the
       radial integrals, so an observable is a dot product against phase
-      factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos.
-      sy_sin equals sx_cos and is kept for bench/checks.py.
+      factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos, and
+      the sin(omega t) coefficient of <sigma_y> is sx_cos: sy_sin is that
+      same read-only array, kept only because bench/checks.py reads it.
 
     states, the j+ and j- partner of each window shell, and kets, the
     stationary-state expansion behind the density, are built from the spec
@@ -289,39 +292,9 @@ def build_tables(
     relativistic radial corrections.
     """
     weights = build_weights(spec)
-    n = weights.n
-    count = len(n)
-    # The window's states as arrays: the j+ partners (n' = 0, kappa = -n),
-    # then the j- partners (n' = 1, kappa = n - 1).  PacketSpec ran the
-    # check that _coupling repeats.
-    xi = _coupling(spec.Z, 1, int(n[0]) - 1, spec.constants)
-    n_prime = np.repeat([0, 1], count)
-    kappa = np.concatenate([-n, n - 1])
-    level = _levels(xi, n_prime, kappa)
-    plus, minus = _take(level, slice(None, count)), _take(level, slice(count, None))
-    omega = _splitting(xi, n, plus, minus)
-
-    if nonrelativistic_radial:
-        ones, zeros = np.ones(count), np.zeros(count)
-        radial = (ones, ones, ones, zeros, zeros, zeros[2:])
-    else:
-        states = _radial(xi, n_prime, kappa, level)
-        p = np.arange(count)
-        m = p + count
-        # <g+|g+>, <g-|g->, <g+|g->; then <f+|f+>, <f-|f->, and over the
-        # orbitals with l + 2 still in the window F'_l = <f+(l)|f-(l + 2)>.
-        gg = _overlap(
-            _take(states, np.concatenate([p, m, p])),
-            _take(states, np.concatenate([p, m, m])),
-            "gg",
-        )
-        ff = _overlap(
-            _take(states, np.concatenate([p, m, p[:-2]])),
-            _take(states, np.concatenate([p, m, m[2:]])),
-            "ff",
-        )
-        radial = (*np.split(gg, 3), *np.split(ff, [count, 2 * count]))
-    return _tables(spec, weights, plus.energy, minus.energy, omega, *radial)
+    # PacketSpec ran the check that _coupling repeats.
+    xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
+    return _tables(spec, weights, *_window_rows(xi, weights.n, nonrelativistic_radial))
 
 
 def _tables(
@@ -375,8 +348,7 @@ def _tables(
 
     # Spin expectation coefficients (delta corrections live in k_coef).
     sx_const = w2 * ab2 * (g_plus / l1 - f_plus / l3)
-    sx_cos = w2 * ab2 * (2.0 * lf / l1) * g_pm
-    sy_sin = sx_cos.copy()
+    sx_cos = _freeze(w2 * ab2 * (2.0 * lf / l1) * g_pm)
     sz_const = w2 * (
         a2 * g_plus
         + b2 * (2.0 * lf - 1.0) / (l1 * l1) * (g_plus - 2.0 * lf * g_minus)
@@ -401,8 +373,8 @@ def _tables(
         norm3=_freeze(norm3),
         norm4=_freeze(norm4),
         sx_const=_freeze(sx_const),
-        sx_cos=_freeze(sx_cos),
-        sy_sin=_freeze(sy_sin),
+        sx_cos=sx_cos,
+        sy_sin=sx_cos,
         sz_const=_freeze(sz_const),
         sz_cos=_freeze(sz_cos),
     )
@@ -462,7 +434,7 @@ def spin_expect(tables: PacketTables, t, include_delta: bool = True):
     phase = np.multiply.outer(flat, tables.omega)
     ph_cos = np.cos(phase)
     sx = float(np.sum(tables.sx_const)) + ph_cos @ tables.sx_cos
-    sy = np.sin(phase) @ tables.sy_sin
+    sy = np.sin(phase) @ tables.sx_cos
     sz = float(np.sum(tables.sz_const)) + ph_cos @ tables.sz_cos
     if include_delta and tables.k_coef.size:
         phase = np.multiply.outer(flat, tables.omega_tilde)
@@ -651,11 +623,9 @@ def _timescale_rows(
     """
     if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or not 0 < k_max < 7:
         raise ValueError(f"require 1 <= k_max <= 6, got {k_max!r}")
-    xi = np.array([_shell_coupling(z, n, constants) for z, n in zip(Z, N)])
+    xi, splitting = _shell_splittings(Z, N, constants)
     n = np.asarray(N, dtype=float)
-    plus = _levels(xi, 0, [-int(v) for v in N])
-    minus = _levels(xi, 1, [int(v) - 1 for v in N])
-    t_ls = 2.0 * math.pi / _splitting(xi, n, plus, minus)
+    t_ls = 2.0 * math.pi / splitting
     if branch == "j_plus":
         jet = _energy_jet_plus(xi, n, int(k_max))
     elif branch == "averaged":

@@ -383,6 +383,8 @@ def test_parameter_preconditions(capsys):
         (["autocorr", "--Z", "92", "--N", "20", "--samples", "100000000"], "samples"),
         (["timescales", "--Z", "1:1000000000", "--N", "2"], "100000"),
         (["smallnorm", "--Z", "1:100", "--N", "2:1002"], "100000"),
+        (["smallnorm", "--Z", "5", "--N", "1" + "0" * 30], "require n <= 100000"),
+        (["timescales", "--Z", "5", "--N", "1" + "0" * 80], "require n <= 100000"),
     ]:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 2 and out == "" and word in err and "Traceback" not in err

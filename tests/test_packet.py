@@ -8,6 +8,7 @@ energy derivatives.
 
 import cmath
 import math
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -94,6 +95,31 @@ def test_spec_validation():
         PacketSpec(Z=92, N=20, window=(2, 1003))
     with pytest.raises(ValueError, match="1001 shells"):
         PacketSpec(Z=92, N=20, sigma_g=1e9)  # window (2, 5000000020)
+
+
+def test_shell_number_limit():
+    # No state above shell n = 100,000; past int64, np.arange over the window
+    # made an object array that np.exp could not take.
+    limit = 100_000
+    assert make_circular_state(1, limit, Branch.J_PLUS).n == limit
+    with pytest.raises(ValueError, match=f"require n <= {limit}, got {limit + 1}"):
+        make_circular_state(1, limit + 1, Branch.J_PLUS)
+    assert PacketSpec(Z=137, N=limit - 10).window == (limit - 20, limit)
+    # The default window of N = limit - 9 ends at limit + 1.
+    with pytest.raises(ValueError, match=f"require n <= {limit}, got {limit + 1}"):
+        PacketSpec(Z=137, N=limit - 9)
+    with pytest.raises(ValueError, match=f"require n <= {limit}"):
+        PacketSpec(Z=5, N=10**30)
+
+
+def test_weak_coupling_packet_raises_no_warning():
+    # gamma + kappa rounds to 0 on the kappa = -n rows here; only the
+    # kappa > 0 rows may evaluate the rewrite of P_g that divides by it.
+    spec = PacketSpec(Z=1, N=100, constants=PhysicalConstants(alpha=1e-6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = build_tables(spec)
+    assert np.all(np.isfinite(tables.acf_plus)) and np.all(np.isfinite(tables.sz_const))
 
 
 # ----------------------------------------------------------------- tables

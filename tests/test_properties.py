@@ -5,8 +5,9 @@ spin amplitudes and shell weights: A(0) = 1, |A| <= 1, unitarity of the
 four component norms, a spin vector no longer than 1, and a small-component
 population in [0, 1).  The tables built as arrays over the window must equal,
 bit for bit, the tables assembled from the scalar energies, splittings and
-overlaps of the window's states, for N up to 500.  Specs that PacketSpec rejects
-(supercritical window shells) are skipped.
+overlaps of the window's states, for N up to 500, and the rows of a sub-range
+of shells must be a slice of the rows of the whole range.  Specs that
+PacketSpec rejects (supercritical window shells) are skipped.
 """
 
 import math
@@ -28,6 +29,8 @@ from diracpacket import (
     spin_expect,
     timescales,
 )
+from diracpacket.constants import DEFAULT_CONSTANTS
+from diracpacket.dirac_coulomb import _coupling, _window_rows
 from diracpacket.packet import _tables
 
 TOL = 1e-12
@@ -108,3 +111,24 @@ def test_array_tables_match_scalar_states_bit_for_bit(Z, N, sigma_g, theta):
             expected = getattr(rebuilt, field.name)
             assert value.dtype == expected.dtype and value.shape == expected.shape, field.name
             assert value.tobytes() == expected.tobytes(), field.name
+
+
+@given(
+    Z=st.integers(1, 137),
+    start=st.integers(2, 500),
+    shells=st.integers(1, 60),
+    data=st.data(),
+)
+def test_window_rows_of_a_sub_range_are_a_slice(Z, start, shells, data):
+    a = data.draw(st.integers(0, shells - 1))
+    b = data.draw(st.integers(a + 1, shells))
+    xi = _coupling(Z, 1, start - 1, DEFAULT_CONSTANTS)
+    n = np.arange(start, start + shells)
+    whole = _window_rows(xi, n, False)
+    part = _window_rows(xi, n[a:b], False)
+    # Eight per-shell arrays, then F' over all but the last two shells.
+    expected = [rows[a:b] for rows in whole[:-1]] + [whole[-1][a : max(a, b - 2)]]
+    assert len(part) == len(expected) == 9
+    for got, want in zip(part, expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
