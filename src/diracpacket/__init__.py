@@ -37,6 +37,7 @@ from .packet import (
     PacketSpec,
     PacketTables,
     SmallNorm,
+    TimeGrid,
     TimeScales,
     autocorrelation,
     build_tables,
@@ -47,7 +48,7 @@ from .packet import (
 )
 from .specfun import legendre_norm, sph_harm
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ALPHA_DEFAULT",
@@ -74,6 +75,7 @@ __all__ = [
     "PacketSpec",
     "PacketTables",
     "SmallNorm",
+    "TimeGrid",
     "TimeScales",
     "autocorrelation",
     "build_tables",

@@ -32,6 +32,7 @@ a precondition (the message names it); 1 for unexpected failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -45,6 +46,7 @@ from .density import PlaneGridSpec, density_grid
 from .dirac_coulomb import SupercriticalChargeError
 from .packet import (
     PacketSpec,
+    TimeGrid,
     _timescale_rows,
     autocorrelation,
     build_tables,
@@ -55,7 +57,8 @@ from .packet import (
 
 _UNITS = ("natural", "kepler", "tls", "seconds")
 
-# Most time samples in one series (5 times 200,000, which peaks at 209 MB); see README.
+# Most time samples in one series: 5 times 200,000, whose run peaks near
+# 95 MB (1,000,000 near 350 MB, mostly CSV rows); see README.
 _MAX_SAMPLES = 1_000_000
 
 # Most (Z, N) points in one sweep (18 times the benchmark's 5,428); see README.
@@ -255,7 +258,8 @@ def cmd_timescales(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     return {}, header, rows
 
 
-def _time_grid(cfg: dict, spec: PacketSpec):
+def _time_grid(cfg: dict, spec: PacketSpec) -> tuple[np.ndarray, TimeGrid]:
+    """The sample times in --unit, and the same grid in natural units."""
     tmin = float(cfg["tmin"])
     tmax = float(cfg["tmax"])
     samples = int(cfg["samples"])
@@ -264,21 +268,20 @@ def _time_grid(cfg: dict, spec: PacketSpec):
     if not (math.isfinite(tmin) and math.isfinite(tmax)) or tmax <= tmin:
         raise CliError(f"need finite tmax > tmin, got [{tmin}, {tmax}]")
     scales = timescales(spec.Z, spec.N, constants=spec.constants)
-    factor = scales.unit_scale(cfg["unit"])
-    t_unit = np.linspace(tmin, tmax, samples)
-    return t_unit, t_unit * factor
+    grid = TimeGrid(tmin, tmax, samples, scales.unit_scale(cfg["unit"]))
+    return np.linspace(tmin, tmax, samples), grid
 
 
 def cmd_autocorr(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec, nonrelativistic_radial=bool(cfg["no_small"]))
-    t_unit, t_nat = _time_grid(cfg, spec)
-    amp = autocorrelation(tables, t_nat)
+    t_unit, grid = _time_grid(cfg, spec)
+    amp = autocorrelation(tables, grid)
     # Python's abs(complex) ** 2, not np.abs(amp) ** 2: the two differ in
     # the last bit for about a third of all values.
     abs_sq = [abs(a) ** 2 for a in amp.tolist()]
     rows = list(
-        zip(t_unit.tolist(), t_nat.tolist(), amp.real.tolist(), amp.imag.tolist(), abs_sq)
+        zip(t_unit.tolist(), grid.values.tolist(), amp.real.tolist(), amp.imag.tolist(), abs_sq)
     )
     header = ["t_in_selected_unit", "t_natural", "re_A", "im_A", "abs_A_squared"]
     return {}, header, rows
@@ -287,8 +290,8 @@ def cmd_autocorr(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
 def cmd_spin(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec, nonrelativistic_radial=bool(cfg["no_small"]))
-    t_unit, t_nat = _time_grid(cfg, spec)
-    sx, sy, sz = spin_expect(tables, t_nat, include_delta=not cfg["no_delta"])
+    t_unit, grid = _time_grid(cfg, spec)
+    sx, sy, sz = spin_expect(tables, grid, include_delta=not cfg["no_delta"])
     length = np.sqrt(sx * sx + sy * sy + sz * sz)
     rows = list(zip(*(column.tolist() for column in (t_unit, sx, sy, sz, length))))
     header = ["t", "sx", "sy", "sz", "spin_length"]
@@ -374,6 +377,9 @@ _FLAGS = {
 }
 
 
+# Built once per process: each parser is a web of reference cycles, which
+# a new one per main call would leave to the cyclic collector.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracpacket",

@@ -147,6 +147,7 @@ class _Levels(NamedTuple):
     d: np.ndarray  # n' + gamma
     big_n: np.ndarray  # hypot(d, xi) = xi / lambda
     energy: np.ndarray  # d / N
+    binding: np.ndarray  # E - 1 = -xi^2 / (N (d + N)), without the 1 - E cancellation
 
 
 def _levels(xi, n_prime, kappa) -> _Levels:
@@ -158,7 +159,8 @@ def _levels(xi, n_prime, kappa) -> _Levels:
     gamma = np.sqrt((kappa - xi) * (kappa + xi))
     d = n_prime + gamma
     big_n = _each(math.hypot, d, xi)
-    return _Levels(n_prime, kappa, gamma, d, big_n, d / big_n)
+    binding = -(xi * xi) / (big_n * (d + big_n))
+    return _Levels(n_prime, kappa, gamma, d, big_n, d / big_n, binding)
 
 
 def _shells(xi, n) -> tuple[_Levels, np.ndarray]:
@@ -216,8 +218,7 @@ def binding_energy(
     which stays fully accurate even when the binding is ~xi^2/2n^2 ~ 1e-13.
     """
     xi = _coupling(Z, n_prime, kappa, constants)
-    level = _levels(xi, n_prime, kappa)
-    return float(-(xi * xi) / (level.big_n * (level.d + level.big_n))[0])
+    return float(_levels(xi, n_prime, kappa).binding[0])
 
 
 def fine_splitting(
@@ -475,16 +476,17 @@ def _overlap(a, b, part: str) -> np.ndarray:
 
 
 def _window_rows(xi: float, n: np.ndarray, nonrelativistic_radial: bool) -> tuple:
-    """e_plus, e_minus, omega and the radial integrals of the shells n, a range.
+    """Binding energies E+ - 1, E- - 1, omega and the radial integrals of the shells n.
 
-    The integrals are <g+|g+>, <g-|g->, <g+|g->, <f+|f+>, <f-|f->, and
-    F'(n) = <f+(n)|f-(n + 2)> over all but the last two shells; with
-    nonrelativistic_radial, their limits 1 (g) and 0 (f).  A row depends
-    only on xi and its shell, so a sub-range's rows are a slice of these.
+    n is a range of shells.  The integrals are <g+|g+>, <g-|g->, <g+|g->,
+    <f+|f+>, <f-|f->, and F'(n) = <f+(n)|f-(n + 2)> over all but the last
+    two shells; with nonrelativistic_radial, their limits 1 (g) and 0 (f).
+    A row depends only on xi and its shell, so a sub-range's rows are a
+    slice of these.
     """
     level, omega = _shells(xi, n)
     count = len(n)
-    energies = (level.energy[:count], level.energy[count:], omega)
+    energies = (level.binding[:count], level.binding[count:], omega)
     if nonrelativistic_radial:
         ones, zeros = np.ones(count), np.zeros(count)
         return *energies, ones, ones, ones, zeros, zeros, zeros[2:]

@@ -10,7 +10,7 @@ which decomposes into both partners,
 
 Per window orbital l the four spinor components of the packet are (with
 x-polarized default a = b = 1/sqrt(2), w_l the shell weight, and
-e(+/-) = exp(-i E(+/-) t)):
+e(+/-) = exp(-i (E(+/-) - 1) t)):
 
     c1 = i w [ g+ (a Y_{l,l} + b s Y_{l,l-1}) e+  -  b g- s Y_{l,l-1} e- ]
     c2 = i w b Y_{l,l} [ g+ / (2l+1) e+  +  g- 2l/(2l+1) e- ]
@@ -27,16 +27,29 @@ labels (l+1, l) two shells apart and produces the small corrections
 delta sigma_x, delta sigma_y at frequencies omega_tilde_l =
 E+(l) - E-(l+2).
 
+Phases run in the rest frame: every energy in the tables is a binding
+energy E - 1, so A(t) drops the global rest-mass phase exp(-i t).  A phase
+E t with E near 1 is of the order of t itself, and at t ~ 1e17 (ten
+spin-orbit periods of hydrogen at N = 20) its rounding alone scrambles the
+differences between shells; (E - 1) t is smaller by the binding, about
+1e-7 there.  The density (density_grid, amplitudes) still evolves each
+ket with its state's absolute energy E.
+
 Everything time-dependent is evaluated from immutable precomputed tables,
 so one autocorrelation or spin sample costs O(window size) and vectorizes
-over time arrays.  dirac_coulomb owns how a shell maps to its two
-partner states: build_tables takes the window's energies, splittings and
-radial integrals from one _window_rows call and forms only the
-coefficients here, and timescales takes its splittings from
-_shell_splittings.  The CircularState objects of the window
-(PacketTables.states, and the kets built from them) are made on first
-read, which only the density does.  timescales evaluates its Taylor jets
-for many (Z, N) points at once.
+over time arrays.  On a uniform TimeGrid of K samples the sums are
+factored: with B = ceil(sqrt(K)), sample k = q B + j gets
+sum_n c_n e^{i f_n (t0 + q B dt)} e^{i f_n j dt}, one (Q x S) (S x B)
+matrix product built from S (Q + B) exponentials, each from its own
+argument, in place of K S of them.
+
+dirac_coulomb owns how a shell maps to its two partner states:
+build_tables takes the window's binding energies, splittings and radial
+integrals from one _window_rows call and forms only the coefficients here,
+and timescales takes its splittings from _shell_splittings.  The
+CircularState objects of the window (PacketTables.states, and the kets
+built from them) are made on first read, which only the density does.
+timescales evaluates its Taylor jets for many (Z, N) points at once.
 """
 
 from __future__ import annotations
@@ -177,9 +190,12 @@ class PacketTables:
     arrays (k_coef, omega_tilde) run over the orbitals with l + 2 still
     inside the window.  Stored, each once:
 
-    - the energies e_plus, e_minus of the two partners and the
-      cancellation-free splitting omega (the phases of every observable);
-    - omega_tilde = E+(l) - E-(l+2) and k_coef, the cross-shell F'_l
+    - the binding energies e_plus = E+ - 1 and e_minus = E- - 1 of the two
+      partners (not the energies E themselves: the rest-frame phases of
+      A(t)) and the cancellation-free splitting omega (the phases of
+      every observable);
+    - omega_tilde = e_plus(l) - e_minus(l+2) = E+(l) - E-(l+2), formed
+      from the binding energies, and k_coef, the cross-shell F'_l
       correction to <sigma_x>, <sigma_y> with its weights folded in;
     - the coefficients of A(t) (acf_*), of the component norms (norm*)
       and of the spin series (s*); each already carries w_l^2 and the
@@ -310,7 +326,7 @@ def _tables(
     f_minus: np.ndarray,
     f_prime: np.ndarray,
 ) -> PacketTables:
-    """The tables of spec from the partners' energies and radial integrals."""
+    """The tables of spec from the partners' binding energies and radial integrals."""
     a, b = spec.a, spec.b
     lf = (weights.n - 1).astype(float)
     lc = lf[:-2]
@@ -380,19 +396,79 @@ def _tables(
     )
 
 
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform sample times np.linspace(start, stop, samples) * scale.
+
+    start and stop are in a unit whose natural-unit duration is scale
+    (TimeScales.unit_scale gives it for the named units), and values are
+    the samples in natural units, as the command line prints them.
+    autocorrelation and spin_expect sum a grid in factored form; every
+    function that takes times accepts one.
+    """
+
+    start: float
+    stop: float
+    samples: int
+    scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_int("samples", self.samples, 2)
+        # A grid past the double range is an input error, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(self.values))
+        if not finite:
+            raise ValueError("times must be finite")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The sample times in natural units."""
+        return np.linspace(self.start, self.stop, self.samples) * self.scale
+
+    def _steps(self) -> tuple[float, float, int]:
+        """(t0, dt, count) of _phase_sum: the first time and the spacing, natural units."""
+        step = (float(self.stop) - float(self.start)) / (self.samples - 1)
+        return float(self.start) * self.scale, step * self.scale, self.samples
+
+
 def _as_time_array(t):
-    arr = np.asarray(t, dtype=float)
+    arr = t.values if isinstance(t, TimeGrid) else np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("times must be finite")
     return arr
 
 
+def _phase_sum(freqs, coefs, t0: float, dt: float, count: int) -> np.ndarray:
+    """sum_n coefs[n] exp(i freqs[n] (t0 + k dt)) for k = 0 .. count - 1.
+
+    Sample k = q B + j, B = ceil(sqrt(count)), is entry (q, j) of one
+    (Q x S) (S x B) product: the giant steps t0 + q B dt carry the
+    coefficients, the baby steps j dt the rest.  Each of the S (Q + B)
+    exponentials is taken of its own argument, never as a power or a
+    recurrence, so the phase error is the rounding of E t whatever count is.
+    """
+    width = math.isqrt(count - 1) + 1
+    giant = t0 + dt * (width * np.arange(-(-count // width), dtype=float))
+    baby = dt * np.arange(width, dtype=float)
+    left = np.exp(1j * np.multiply.outer(giant, freqs)) * coefs
+    right = np.exp(1j * np.multiply.outer(freqs, baby))
+    return (left @ right).ravel()[:count]
+
+
 def autocorrelation(tables: PacketTables, t):
     """Autocorrelation A(t) = <Psi(0)|Psi(t)>; complex, A(0) = 1, |A| <= 1.
 
-    Accepts a scalar time or an ndarray of times (natural units) and
-    vectorizes over the window in one pass.
+    Rest frame: the phases are the binding energies E - 1, so A(t) lacks
+    the global rest-mass factor exp(-i t), which |A| does not see.
+    Accepts a scalar time, an ndarray of times (natural units) or a
+    TimeGrid, and vectorizes over the window in one pass.
     """
+    if isinstance(t, TimeGrid):
+        return _phase_sum(
+            -np.concatenate([tables.e_plus, tables.e_minus]),
+            np.concatenate([tables.acf_plus, tables.acf_minus]),
+            *t._steps(),
+        )
     arr = _as_time_array(t)
     flat = np.atleast_1d(arr)
     out = np.exp(np.multiply.outer(flat, -1j * tables.e_plus)) @ tables.acf_plus
@@ -427,8 +503,22 @@ def spin_expect(tables: PacketTables, t, include_delta: bool = True):
 
     include_delta toggles the cross-shell small-component corrections
     (the F' terms); they are bounded at the percent level and oscillate
-    near the optical frequencies E+(l) - E-(l+2).
+    near the optical frequencies E+(l) - E-(l+2).  On a TimeGrid the series
+    are three factored sums: sx_cos e^{i omega t} gives <sigma_x> and
+    <sigma_y>, sz_cos e^{i omega t} <sigma_z>, k_coef e^{i omega_tilde t}
+    the corrections.
     """
+    if isinstance(t, TimeGrid):
+        steps = t._steps()
+        xy = _phase_sum(tables.omega, tables.sx_cos, *steps)
+        if include_delta and tables.k_coef.size:
+            xy += _phase_sum(tables.omega_tilde, tables.k_coef, *steps)
+        sz = _phase_sum(tables.omega, tables.sz_cos, *steps).real
+        return (
+            float(np.sum(tables.sx_const)) + xy.real,
+            xy.imag.copy(),
+            float(np.sum(tables.sz_const)) + sz,
+        )
     arr = _as_time_array(t)
     flat = np.atleast_1d(arr)
     phase = np.multiply.outer(flat, tables.omega)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from diracpacket.dirac_coulomb import CircularState, _check_pair, eval_radial
+from diracpacket.dirac_coulomb import CircularState, _check_pair, binding_energy, eval_radial
 from diracpacket.packet import Ket, PacketTables, _as_time_array
 
 
@@ -144,7 +144,9 @@ def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
     each radial overlap by adaptive quadrature instead of the closed form.
     Shares no overlap code path with :func:`autocorrelation`, so agreement
     binds the coefficient tables, the closed-form integrals, and the
-    phase assignments at once.  Meant for small windows.
+    phase assignments at once.  Each ket's phase is the binding energy
+    E - 1 of its state's label, the rest frame of autocorrelation.  Meant
+    for small windows.
     """
     arr = _as_time_array(t)
     flat = np.atleast_1d(arr)
@@ -164,6 +166,7 @@ def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
             )
         return cache[key]
 
+    constants = tables.spec.constants
     out = np.zeros(flat.shape, dtype=complex)
     kets = tables.kets
     for ia, ka in enumerate(kets):
@@ -175,7 +178,9 @@ def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
             ):
                 continue
             amp = np.conj(ka.coef) * kb.coef * radial(ka, kb)
-            out += amp * np.exp(-1j * kb.state.energy * flat)
+            qb = kb.state
+            bind = binding_energy(qb.Z, qb.n_prime, qb.kappa, constants)
+            out += amp * np.exp(-1j * bind * flat)
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)

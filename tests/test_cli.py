@@ -4,15 +4,19 @@ Everything runs in-process through ``cli.main`` so exit codes, stdout,
 stderr, and written files are all observable without spawning a shell.
 """
 
+import gc
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracpacket import packet
+from diracpacket import __version__, packet
 from diracpacket.cli import _MANIFEST_KEYS, main, parse_range
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_cli(argv, capsys):
@@ -409,6 +413,35 @@ def test_kets_built_only_for_density(tmp_path, monkeypatch, capsys):
         calls.clear()
         rc, _, _ = run_cli([*argv, "--out", str(tmp_path / "out.csv")], capsys)
         assert rc == 0 and len(calls) == expected, argv[0]
+
+
+def test_repeated_main_calls_leave_no_cyclic_garbage(tmp_path):
+    # The parser is built once per process, so a job after the first
+    # leaves nothing behind for the cyclic collector.
+    argv = ["autocorr", "--Z", "92", "--N", "20", "--samples", "50"]
+    argv += ["--out", str(tmp_path / "a.csv")]
+    assert main(argv) == 0
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_package_and_manifest_versions_agree(capsys):
+    project = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(encoding="utf-8"), re.M)
+    rc, out, _ = run_cli(["timescales", "--Z", "1", "--N", "2"], capsys)
+    manifest, _, _ = split_csv(out)
+    assert rc == 0
+    assert project.group(1) == __version__ == manifest["version"]
 
 
 def test_parse_range_forms():

@@ -20,48 +20,48 @@ from diracpacket.cli import main
 GOLDEN = [
     (
         ("timescales", "--Z", "1:92:13", "--N", "2:30:7"),
-        "56284af496ca44711cbd37962ea13364599b8a075f51106c913f52a10b2df9e5",
+        "c5326a694d0aa32786a637c722da8fe18333ef67becedc754d21a9fec2e88cac",
     ),
     (
         ("timescales", "--Z", "137", "--N", "2", "--kmax", "6"),
-        "9666c2cfd91a1bd24dbbc8fc366d7346cad60bfe46145c7eca3b4aef79ccffa7",
+        "cc3d37885ec5e31bdfcabe371b0e0fd8b4894aa5be7e1fd652654611b723aa2f",
     ),
     (
         ("autocorr", "--Z", "1", "--N", "20", "--samples", "300", "--tmax", "10.5"),
-        "5a9c079c9dbb18286367a8c0ff10b3d87be4e67469f235d098d4dc69ecc09803",
+        "daa4d708d65ac4081e53a7f7175da935a43fff8963145b5d2e7a39077d5bf029",
     ),
     (
         ("autocorr", "--Z", "92", "--N", "20", "--unit", "kepler", "--tmin", "0.5",
          "--tmax", "3", "--samples", "200", "--no-small"),
-        "3b70bab5b7659d8c38f5d1a36b8fdf3f926d1bf0745d2acf676257b64ccc3f7c",
+        "d586db66c3b76691dc602148af857b0497ef4b102fd8ee055eb646f1cc4aa0fe",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3"),
-        "fb472c45a4d01a6443914ca554d47e1d5a3366e91057a4c09bf9013800e3797e",
+        "a1b027850bab3921c5d3bf4abfd9788254f4ab757a4097e52f5e83d14f3a1c30",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3",
          "--no-delta"),
-        "4a0845b13b06b81ba0bd729c84adeeead0e71de98cdbb1327772a1be5163dc63",
+        "8d40cc0ca087a3bd6e86c04ed1244f61639a6f8027a71b981bbaacb6ab264c1f",
     ),
     (
         ("spin", "--Z", "54", "--N", "12", "--sigma", "1.5", "--a", "0.6", "--b", "0.8",
          "--unit", "seconds", "--tmax", "1e-13", "--samples", "150"),
-        "d513b2caf4d9cf806075dc1c7062b8ce09552629a51d2dcd06515bc3893bab47",
+        "8af126335da8aa2c9669f10b7bd943c7664aeee25f90e1d002566cb834e787a8",
     ),
     (
         ("density", "--Z", "92", "--N", "20", "--unit", "kepler", "--time", "0.37",
          "--grid", "128"),
-        "742e9175c74e6cbbf35573fade5d407c8328f52135896fc4b0deb1aebce8e0e5",
+        "a1bfb10a9afca8f56e4ceeffd989ecf934b81411f67756a240dfbc9942c2eb33",
     ),
     (
         ("density", "--Z", "82", "--N", "10", "--sigma", "1.5", "--a", "1", "--b", "0",
          "--unit", "tls", "--time", "0.8", "--grid", "40", "--extent", "2.0"),
-        "a0fc7f4275ac744ac48c4e993d44a0abf25acf2ff4f5b6eb253c42de766f4196",
+        "f4f05aca6d2fa451701ce6b805589a483db2b40f23e7c940defcd3e57df365bc",
     ),
     (
         ("smallnorm", "--Z", "1:92:7", "--N", "10:40:10"),
-        "1505038c156d6ebc65e856c542d112fef55e1cac5719aae94ac3d7895ab4011d",
+        "bebdbd81aab071043eae2891b2552220ac6b0c67f12ccf08b20ff73ef675fedd",
     ),
 ]
 

@@ -46,7 +46,7 @@ from diracpacket import (
     timescales,
 )
 
-GOLDEN = "4edc62d3b3a662a319c1edc47dd0592a6dc7f6e6b0c11cd3c966501bd3b4ecde"
+GOLDEN = "fcfcc0abba29b02a53f752f017220832c593ce9a7e77f3aa4861826a829c2262"
 LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)

@@ -608,6 +608,7 @@ def test_public_surface():
         "PacketSpec",
         "PacketTables",
         "SmallNorm",
+        "TimeGrid",
         "TimeScales",
         "autocorrelation",
         "build_tables",
@@ -619,6 +620,6 @@ def test_public_surface():
         "sph_harm",
         "__version__",
     ]
-    assert len(diracpacket.__all__) == 34
+    assert len(diracpacket.__all__) == 35
     for name in diracpacket.__all__:
         assert hasattr(diracpacket, name), name

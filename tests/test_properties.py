@@ -1,13 +1,14 @@
 """Property tests over the advertised domain: Z = 1..137, N = 2..200.
 
-Every packet drawn here is checked for the invariants that hold for any
-spin amplitudes and shell weights: A(0) = 1, |A| <= 1, unitarity of the
-four component norms, a spin vector no longer than 1, and a small-component
-population in [0, 1).  The tables built as arrays over the window must equal,
-bit for bit, the tables assembled from the scalar energies, splittings and
-overlaps of the window's states, for N up to 500, and the rows of a sub-range
-of shells must be a slice of the rows of the whole range.  Specs that
-PacketSpec rejects (supercritical window shells) are skipped.
+Every packet drawn here is checked, on a time array and on a TimeGrid, for
+the invariants that hold for any spin amplitudes and shell weights:
+A(0) = 1, |A| <= 1, unitarity of the four component norms, a spin vector
+no longer than 1, and a small-component population in [0, 1).  The tables
+built as arrays over the window must equal, bit for bit, the tables
+assembled from the scalar binding energies, splittings and overlaps of the
+window's states, for N up to 500, and the rows of a sub-range of shells
+must be a slice of the rows of the whole range.  Specs that PacketSpec
+rejects (supercritical window shells) are skipped.
 """
 
 import math
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 from diracpacket import (
     PacketSpec,
+    TimeGrid,
     autocorrelation,
+    binding_energy,
     build_tables,
     component_norms,
     fine_splitting,
@@ -52,16 +55,17 @@ def _spec(**kwargs) -> PacketSpec:
 def test_packet_invariants(Z, N, sigma_g, theta):
     spec = _spec(Z=Z, N=N, sigma_g=sigma_g, a=math.cos(theta), b=math.sin(theta))
     tables = build_tables(spec)
-    t = np.linspace(0.0, 10.0 * timescales(Z, N).t_ls, 400)
+    t_ls = timescales(Z, N).t_ls
+    # The same invariants through the direct path and the factored grid path.
+    for t in (np.linspace(0.0, 10.0 * t_ls, 400), TimeGrid(0.0, 10.0, 400, t_ls)):
+        amp = autocorrelation(tables, t)
+        assert abs(amp[0] - 1.0) <= TOL
+        assert np.max(np.abs(amp)) <= 1.0 + TOL
 
-    amp = autocorrelation(tables, t)
-    assert abs(amp[0] - 1.0) <= TOL
-    assert np.max(np.abs(amp)) <= 1.0 + TOL
+        assert np.max(np.abs(sum(component_norms(tables, t)) - 1.0)) <= TOL
 
-    assert np.max(np.abs(sum(component_norms(tables, t)) - 1.0)) <= TOL
-
-    sx, sy, sz = spin_expect(tables, t)
-    assert np.max(np.sqrt(sx * sx + sy * sy + sz * sz)) <= 1.0 + TOL
+        sx, sy, sz = spin_expect(tables, t)
+        assert np.max(np.sqrt(sx * sx + sy * sy + sz * sz)) <= 1.0 + TOL
 
     assert 0.0 <= small_norm(tables).total < 1.0
 
@@ -99,8 +103,8 @@ def test_array_tables_match_scalar_states_bit_for_bit(Z, N, sigma_g, theta):
     rebuilt = _tables(
         spec,
         tables.weights,
-        np.array([s.energy for s in plus]),
-        np.array([s.energy for s in minus]),
+        np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in plus]),
+        np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in minus]),
         np.array([fine_splitting(Z, int(n)) for n in tables.weights.n]),
         *same_l,
         np.array([overlap_closed_form(p, m, "ff") for p, m in zip(plus, minus[2:])]),
