@@ -24,7 +24,6 @@ from .dirac_coulomb import (
     OverlapSet,
     SupercriticalChargeError,
     binding_energy,
-    bound_energy,
     eval_radial,
     fine_splitting,
     make_circular_state,
@@ -33,7 +32,6 @@ from .dirac_coulomb import (
     state_from_kappa,
 )
 from .packet import (
-    Ket,
     PacketSpec,
     PacketTables,
     SmallNorm,
@@ -64,14 +62,12 @@ __all__ = [
     "OverlapSet",
     "SupercriticalChargeError",
     "binding_energy",
-    "bound_energy",
     "eval_radial",
     "fine_splitting",
     "make_circular_state",
     "overlap_closed_form",
     "overlap_set",
     "state_from_kappa",
-    "Ket",
     "PacketSpec",
     "PacketTables",
     "SmallNorm",

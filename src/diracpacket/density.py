@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac_coulomb import eval_radial
+from .dirac_coulomb import _coupling, _shells, _take, eval_radial
 from .packet import PacketTables, _as_time_array, _freeze
 from .specfun import legendre_norm, sph_harm
 
@@ -34,6 +34,22 @@ _ROW_BLOCK = 16
 
 # Most nodes per grid axis (16 times the nodes of a 512^2 grid); see README.
 _MAX_RESOLUTION = 2048
+
+
+def _each_row(tables: PacketTables) -> list:
+    """The rows of tables.rows one by one, each with CircularState's fields."""
+    rows = tables.rows
+    return [_take(rows, i) for i in range(rows.lam.size)]
+
+
+def _prefactors(tables: PacketTables, t: float) -> list:
+    """Each ket's coefficient times its phase e^(-i E t)."""
+    xi = _coupling(tables.spec.Z, 1, int(tables.weights.n[0]) - 1, tables.spec.constants)
+    energy = _shells(xi, tables.weights.n)[0].energy
+    return [
+        complex(c) * cmath.exp(-1j * float(energy[row]) * t)
+        for c, row in zip(tables.kets.coef.tolist(), tables.kets.row.tolist())
+    ]
 
 
 def amplitudes(tables: PacketTables, r, theta, phi, t):
@@ -59,25 +75,24 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
     flat_t = np.broadcast_to(theta, shape).ravel()
     flat_p = np.broadcast_to(phi, shape).ravel()
 
-    # Distinct radial profiles and harmonics: many kets share each.
+    # Radial profiles and harmonics: many kets share each.
     kets = tables.kets
-    states = {(k.state.kappa, k.state.n_prime): k.state for k in kets}
-    radial = {key: eval_radial(state, r) for key, state in states.items()}
+    radial = [eval_radial(row, r) for row in _each_row(tables)]
     harmonics = {
         (l, m): np.fromiter(
             (sph_harm(l, m, tt, pp) for tt, pp in zip(flat_t, flat_p)),
             dtype=complex,
             count=flat_t.size,
         ).reshape(shape)
-        for l, m in {(k.l_ang, k.m_ang) for k in kets}
+        for l, m in set(zip(kets.l_ang.tolist(), kets.m_ang.tolist()))
     }
 
     out = [np.zeros(shape, dtype=complex) for _ in range(4)]
-    for ket in kets:
-        g, f = radial[(ket.state.kappa, ket.state.n_prime)]
-        rad = g if ket.radial_part == "g" else f
-        prefactor = ket.coef * cmath.exp(-1j * ket.state.energy * t)
-        out[ket.component - 1] += prefactor * rad * harmonics[(ket.l_ang, ket.m_ang)]
+    for comp, l, m, part, row, prefactor in zip(
+        kets.component.tolist(), kets.l_ang.tolist(), kets.m_ang.tolist(),
+        kets.part.tolist(), kets.row.tolist(), _prefactors(tables, t),
+    ):
+        out[comp - 1] += prefactor * radial[row][part] * harmonics[(l, m)]
 
     if np.ndim(r_in) == 0 and np.ndim(theta_in) == 0 and np.ndim(phi_in) == 0:
         return tuple(complex(c[()]) for c in out)
@@ -160,15 +175,14 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
     # m = l - 1, l or l + 1 with l >= 1, so m >= 0.
     kets = tables.kets
     prefactors = [
-        k.coef
-        * cmath.exp(-1j * k.state.energy * t)
-        * legendre_norm(k.l_ang, k.m_ang, 0.5 * math.pi)
-        for k in kets
+        pref * legendre_norm(l, m, 0.5 * math.pi)
+        for pref, l, m in zip(_prefactors(tables, t), kets.l_ang.tolist(), kets.m_ang.tolist())
     ]
-    m_min = min(k.m_ang for k in kets)
-    m_max = max(k.m_ang for k in kets)
-    # Distinct radial profiles: many kets share one state.
-    states = {(k.state.kappa, k.state.n_prime): k.state for k in kets}
+    m_min = int(kets.m_ang.min())
+    m_max = int(kets.m_ang.max())
+    terms = list(zip(kets.component.tolist(), kets.m_ang.tolist(), kets.part.tolist(),
+                     kets.row.tolist(), prefactors))
+    rows = _each_row(tables)
 
     spin_up = np.empty((res, res), dtype=float)
     spin_down = np.empty((res, res), dtype=float)
@@ -181,7 +195,7 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
         np.maximum(r, r_floor, out=r)
         phi = np.arctan2(y_col, x_row)
 
-        radial = {key: eval_radial(state, r) for key, state in states.items()}
+        radial = [eval_radial(row, r) for row in rows]
 
         # e^(i m phi) for every m from the smallest up, each one step from
         # the last, so every grid node sees one fixed operation chain.
@@ -191,10 +205,8 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
             e_of_m[m] = e_of_m[m - 1] * unit
 
         comps = [np.zeros(r.shape, dtype=complex) for _ in range(4)]
-        for ket, pref in zip(kets, prefactors):
-            g, f = radial[(ket.state.kappa, ket.state.n_prime)]
-            rad = g if ket.radial_part == "g" else f
-            comps[ket.component - 1] += pref * rad * e_of_m[ket.m_ang]
+        for comp, m, part, row, pref in terms:
+            comps[comp - 1] += pref * radial[row][part] * e_of_m[m]
 
         abs2 = [c.real * c.real + c.imag * c.imag for c in comps]
         spin_up[i0:i1] = abs2[0] + abs2[2]

@@ -191,21 +191,6 @@ def _shell_splittings(Z, N, constants: PhysicalConstants) -> tuple[np.ndarray, n
     return xi, _shells(xi, N)[1]
 
 
-def bound_energy(
-    Z: int,
-    n_prime: int,
-    kappa: int,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """Bound-state energy E in units of m_e c^2 (Sommerfeld formula).
-
-    E = [1 + (xi / (n' + gamma))^2]^(-1/2) with xi = Z alpha and
-    gamma = sqrt(kappa^2 - xi^2).  Always in (0, 1) for subcritical xi.
-    """
-    xi = _coupling(Z, n_prime, kappa, constants)
-    return float(_levels(xi, n_prime, kappa).energy[0])
-
-
 def binding_energy(
     Z: int,
     n_prime: int,
@@ -373,6 +358,11 @@ def _radial(xi: float, level: _Levels) -> _Radial:
     g_poly = np.where(one_node, np.stack([-c0_g, -c1]), nodeless)
     f_poly = np.where(one_node, np.stack([beta + 1.0, c1]), -nodeless)
     return _Radial(level.gamma, lam, g_log, g_poly, f_log, f_poly)
+
+
+def _shell_radial(xi: float, n: np.ndarray) -> _Radial:
+    """Radial data of the shells n in the layout of _shells: j+ rows, then j- rows."""
+    return _radial(xi, _shells(xi, n)[0])
 
 
 def make_circular_state(

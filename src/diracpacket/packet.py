@@ -57,21 +57,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
-    Branch,
-    CircularState,
     _coupling,
     _each,
+    _Radial,
     _require_int,
+    _shell_radial,
     _shell_splittings,
     _window_rows,
+    # Not called here; bench/tracing.py wraps these three on this module.
     make_circular_state,
-    # Not called here; bench/tracing.py wraps both on this module.
     overlap_closed_form,
     overlap_set,
 )
@@ -165,23 +164,6 @@ def build_weights(spec: PacketSpec) -> Weights:
     return Weights(n=_freeze(n), w=_freeze(w))
 
 
-@dataclass(frozen=True)
-class Ket:
-    """One stationary-state term of the packet expansion.
-
-    coef carries the shell weight, spin amplitude, and component phase
-    factors, but not the spherical harmonic itself; l_ang and m_ang label
-    the harmonic Y_{l_ang, m_ang} and radial_part selects g or f of state.
-    """
-
-    component: int
-    l_ang: int
-    m_ang: int
-    coef: complex
-    state: CircularState
-    radial_part: str
-
-
 @dataclass(frozen=True, eq=False)
 class PacketTables:
     """Immutable precomputed coefficient tables for one packet.
@@ -232,67 +214,84 @@ class PacketTables:
     sz_cos: np.ndarray
 
     @functools.cached_property
-    def states(self) -> tuple[tuple[CircularState, ...], tuple[CircularState, ...]]:
-        """(states_plus, states_minus), in the order of weights.n."""
-        Z, constants = self.spec.Z, self.spec.constants
-        return tuple(
-            tuple(make_circular_state(Z, int(n), branch, constants) for n in self.weights.n)
-            for branch in (Branch.J_PLUS, Branch.J_MINUS)
-        )
+    def rows(self) -> _Radial:
+        """Radial data of the window's partners: the j+ rows, then the j- rows."""
+        return _shell_radial(_xi(self.spec, self.weights), self.weights.n)
 
     @functools.cached_property
-    def kets(self) -> tuple[Ket, ...]:
-        """Ten kets per shell; every CircularState of the packet is in them."""
-        return _build_kets(self.spec, self.weights, *self.states)
+    def kets(self) -> _KetTable:
+        """The stationary-state expansion behind the density; see _KetTable."""
+        return _ket_table(self.spec, self.weights)
 
 
-def _build_kets(
-    spec: PacketSpec,
-    weights: Weights,
-    states_plus: Iterable[CircularState],
-    states_minus: Iterable[CircularState],
-) -> tuple[Ket, ...]:
+# Per shell, the ten kets' offsets of l_ang and m_ang from the shell's
+# orbital l, their components, radial parts (0 = g, 1 = f) and partners
+# (0 = j+, 1 = j-).
+_KET_COMPONENT = np.array([1, 1, 1, 2, 2, 3, 3, 3, 4, 4])
+_KET_L = np.array([0, 0, 0, 0, 0, 1, 1, -1, 1, 1])
+_KET_M = np.array([0, -1, -1, 0, 0, 0, -1, -1, 1, 0])
+_KET_PART = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
+_KET_PARTNER = np.array([0, 0, 1, 0, 1, 0, 0, 1, 0, 0])
+
+
+@dataclass(frozen=True, eq=False)
+class _KetTable:
+    """The packet as a sum of stationary kets, one array entry per ket.
+
+    Ket k is coef[k] Y_{l_ang[k], m_ang[k]} times radial part part[k]
+    (0 for g, 1 for f: the order of eval_radial's pair) of PacketTables.rows
+    row row[k], in spinor component component[k] (1 to 4).  coef carries
+    the shell weight, the spin amplitude and the component phase factors.
+    Ten kets per shell, shell by shell in the order of weights.n; len() is
+    the ket count.
+    """
+
+    component: np.ndarray
+    l_ang: np.ndarray
+    m_ang: np.ndarray
+    coef: np.ndarray
+    part: np.ndarray
+    row: np.ndarray
+
+    def __len__(self) -> int:
+        return self.row.size
+
+
+def _ket_table(spec: PacketSpec, weights: Weights) -> _KetTable:
     a, b = spec.a, spec.b
-    kets: list[Ket] = []
-    for w, sp, sm in zip(weights.w, states_plus, states_minus):
-        l = sp.l
-        w = float(w)
-        two_l = 2.0 * l
-        s = math.sqrt(two_l) / (two_l + 1.0)
-        kets += [
-            Ket(1, l, l, 1j * w * a, sp, "g"),
-            Ket(1, l, l - 1, 1j * w * b * s, sp, "g"),
-            Ket(1, l, l - 1, -1j * w * b * s, sm, "g"),
-            Ket(2, l, l, 1j * w * b / (two_l + 1.0), sp, "g"),
-            Ket(2, l, l, 1j * w * b * two_l / (two_l + 1.0), sm, "g"),
-            Ket(3, l + 1, l, w * a / math.sqrt(two_l + 3.0), sp, "f"),
-            Ket(
-                3,
-                l + 1,
-                l - 1,
-                w * b * math.sqrt(2.0 / ((two_l + 1.0) * (two_l + 3.0))),
-                sp,
-                "f",
-            ),
-            Ket(
-                3,
-                l - 1,
-                l - 1,
-                -w * b * math.sqrt(two_l / (two_l + 1.0)),
-                sm,
-                "f",
-            ),
-            Ket(
-                4,
-                l + 1,
-                l + 1,
-                -w * a * math.sqrt((two_l + 2.0) / (two_l + 3.0)),
-                sp,
-                "f",
-            ),
-            Ket(4, l + 1, l, -w * b / math.sqrt(two_l + 3.0), sp, "f"),
-        ]
-    return tuple(kets)
+    count = weights.n.size
+    l = weights.n - 1
+    w = weights.w[:, np.newaxis]
+    two_l = 2.0 * l[:, np.newaxis]
+    s = np.sqrt(two_l) / (two_l + 1.0)
+    wa, wb = w * a, w * b
+    # The five large-component kets are i times a real magnitude, the five
+    # small-component kets real; each magnitude is rounded as i w a ... was.
+    imag = np.hstack([wa, wb * s, -(wb * s), wb / (two_l + 1.0), wb * two_l / (two_l + 1.0)])
+    real = np.hstack([
+        wa / np.sqrt(two_l + 3.0),
+        wb * np.sqrt(2.0 / ((two_l + 1.0) * (two_l + 3.0))),
+        -wb * np.sqrt(two_l / (two_l + 1.0)),
+        -wa * np.sqrt((two_l + 2.0) / (two_l + 3.0)),
+        -wb / np.sqrt(two_l + 3.0),
+    ])
+    coef = np.zeros((count, 10), dtype=complex)
+    coef.imag[:, :5] = imag
+    coef.real[:, 5:] = real
+    shell = np.arange(count)[:, np.newaxis]
+    return _KetTable(
+        component=_freeze(np.tile(_KET_COMPONENT, count)),
+        l_ang=_freeze((l[:, np.newaxis] + _KET_L).ravel()),
+        m_ang=_freeze((l[:, np.newaxis] + _KET_M).ravel()),
+        coef=_freeze(coef.ravel()),
+        part=_freeze(np.tile(_KET_PART, count)),
+        row=_freeze((shell + count * _KET_PARTNER).ravel()),
+    )
+
+
+def _xi(spec: PacketSpec, weights: Weights) -> float:
+    # PacketSpec ran the check that _coupling repeats.
+    return _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
 
 
 def build_tables(
@@ -308,9 +307,7 @@ def build_tables(
     relativistic radial corrections.
     """
     weights = build_weights(spec)
-    # PacketSpec ran the check that _coupling repeats.
-    xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
-    return _tables(spec, weights, *_window_rows(xi, weights.n, nonrelativistic_radial))
+    return _tables(spec, weights, *_window_rows(_xi(spec, weights), weights.n, nonrelativistic_radial))
 
 
 def _tables(

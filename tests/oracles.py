@@ -18,8 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from diracpacket.dirac_coulomb import CircularState, _check_pair, binding_energy, eval_radial
-from diracpacket.packet import Ket, PacketTables, _as_time_array
+from diracpacket.dirac_coulomb import (
+    Branch,
+    CircularState,
+    _check_pair,
+    binding_energy,
+    eval_radial,
+    make_circular_state,
+)
+from diracpacket.packet import PacketTables, _as_time_array
 
 
 class QuadratureAccuracyError(RuntimeError):
@@ -136,6 +143,23 @@ def overlap_quadrature(
     return integrate_adaptive(integrand, 0.0, r_max, abs_tol=abs_tol)
 
 
+def ket_states(tables: PacketTables) -> list[CircularState]:
+    """Each ket's bound state, from the public make_circular_state.
+
+    A ket's row is its shell's j+ partner among the first weights.n.size
+    rows and its j- partner among the rest; the states follow the kets'
+    order.
+    """
+    Z, constants = tables.spec.Z, tables.spec.constants
+    shells = tables.weights.n.tolist()
+    states = [
+        make_circular_state(Z, n, branch, constants)
+        for branch in (Branch.J_PLUS, Branch.J_MINUS)
+        for n in shells
+    ]
+    return [states[row] for row in tables.kets.row.tolist()]
+
+
 def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
     """Brute-force A(t) from the ket expansion and radial quadrature.
 
@@ -153,32 +177,30 @@ def autocorrelation_oracle(tables: PacketTables, t, abs_tol: float = 1e-13):
 
     cache: dict[tuple, float] = {}
 
-    def radial(ka: Ket, kb: Ket) -> float:
-        if ka.radial_part != kb.radial_part:
+    def radial(ka: int, kb: int) -> float:
+        if part[ka] != part[kb]:
             raise ValueError("mixed g/f radial overlap should never arise")
-        qa, qb = ka.state, kb.state
-        key_a = (qa.kappa, qa.n_prime, ka.radial_part)
-        key_b = (qb.kappa, qb.n_prime, kb.radial_part)
+        qa, qb = states[ka], states[kb]
+        key_a = (qa.kappa, qa.n_prime, part[ka])
+        key_b = (qb.kappa, qb.n_prime, part[kb])
         key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
         if key not in cache:
-            cache[key] = overlap_quadrature(
-                ka.state, kb.state, ka.radial_part * 2, abs_tol=abs_tol
-            )
+            cache[key] = overlap_quadrature(qa, qb, "gf"[part[ka]] * 2, abs_tol=abs_tol)
         return cache[key]
 
     constants = tables.spec.constants
     out = np.zeros(flat.shape, dtype=complex)
     kets = tables.kets
-    for ia, ka in enumerate(kets):
-        for kb in kets:
-            if (
-                ka.component != kb.component
-                or ka.l_ang != kb.l_ang
-                or ka.m_ang != kb.m_ang
-            ):
+    states = ket_states(tables)
+    part = kets.part.tolist()
+    labels = list(zip(kets.component.tolist(), kets.l_ang.tolist(), kets.m_ang.tolist()))
+    coef = kets.coef.tolist()
+    for ia in range(len(kets)):
+        for ib in range(len(kets)):
+            if labels[ia] != labels[ib]:
                 continue
-            amp = np.conj(ka.coef) * kb.coef * radial(ka, kb)
-            qb = kb.state
+            amp = np.conj(coef[ia]) * coef[ib] * radial(ia, ib)
+            qb = states[ib]
             bind = binding_energy(qb.Z, qb.n_prime, qb.kappa, constants)
             out += amp * np.exp(-1j * bind * flat)
     if arr.ndim == 0:

@@ -26,7 +26,6 @@ from diracpacket import (
     PacketSpec,
     PlaneGridSpec,
     autocorrelation,
-    bound_energy,
     build_tables,
     component_norms,
     density_grid,
@@ -38,7 +37,7 @@ from diracpacket import (
     state_from_kappa,
     timescales,
 )
-from oracles import autocorrelation_oracle, overlap_quadrature
+from oracles import autocorrelation_oracle, ket_states, overlap_quadrature
 
 ALPHA = 1.0 / 137.036
 
@@ -80,8 +79,8 @@ def test_acceptance_02_spin_orbit_ratio():
     # answer outright at Z = 1, and at Z = 92 the library value matches an
     # extended-precision reference (50-digit arithmetic, frozen) to 1e-12.
     def naive(Z, N):
-        e_plus = bound_energy(Z, 0, -N)
-        e_minus = bound_energy(Z, 1, N - 1)
+        e_plus = state_from_kappa(Z, -N, 0).energy
+        e_minus = state_from_kappa(Z, N - 1, 1).energy
         return e_plus - e_minus
 
     ref_z1 = 4.6639917691464517525e-16
@@ -194,10 +193,8 @@ def test_acceptance_06_conservation(tables_h_n20, tables_u92_n20, tables_u92_n40
     worst_state = 0.0
     states = {}
     for tables in (tables_h_n20, tables_u92_n20, tables_u92_n40):
-        for ket in tables.kets:
-            states[(ket.state.Z, ket.state.kappa, ket.state.n_prime)] = (
-                ket.state
-            )
+        for state in ket_states(tables):
+            states[(state.Z, state.kappa, state.n_prime)] = state
     for state in states.values():
         norm = overlap_quadrature(state, state, "gg") + overlap_quadrature(
             state, state, "ff"

@@ -396,13 +396,13 @@ def test_parameter_preconditions(capsys):
 
 def test_kets_built_only_for_density(tmp_path, monkeypatch, capsys):
     calls = []
-    build_kets = packet._build_kets
+    build_kets = packet._ket_table
 
     def counted(*args):
         calls.append(args)
         return build_kets(*args)
 
-    monkeypatch.setattr(packet, "_build_kets", counted)
+    monkeypatch.setattr(packet, "_ket_table", counted)
     for argv, expected in [
         (["smallnorm", "--Z", "90:92", "--N", "10:20:10"], 0),
         (["autocorr", "--Z", "92", "--N", "20", "--samples", "20"], 0),

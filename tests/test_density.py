@@ -23,6 +23,8 @@ from diracpacket import (
     timescales,
 )
 
+from oracles import ket_states
+
 XI_92 = 92.0 / 137.036
 
 
@@ -146,19 +148,21 @@ def test_radial_marginal_peak_near_rn(tables_u92_n20):
     tab = tables_u92_n20
     r_n = 400.0 / XI_92
     r = np.linspace(0.6 * r_n, 1.4 * r_n, 4001)
+    kets = tab.kets
     groups = {}
-    for ket in tab.kets:
-        key = (ket.component, ket.l_ang, ket.m_ang)
-        groups.setdefault(key, []).append(ket)
+    for index, key in enumerate(zip(kets.component.tolist(), kets.l_ang.tolist(),
+                                    kets.m_ang.tolist())):
+        groups.setdefault(key, []).append(index)
+    states = ket_states(tab)
     dens = np.zeros_like(r)
     from diracpacket import eval_radial
 
-    for kets in groups.values():
+    for indices in groups.values():
         acc = np.zeros_like(r, dtype=complex)
-        for ket in kets:
-            g, f = eval_radial(ket.state, r)
-            rad = g if ket.radial_part == "g" else f
-            acc += ket.coef * rad
+        for index in indices:
+            g, f = eval_radial(states[index], r)
+            rad = (g, f)[kets.part[index]]
+            acc += kets.coef[index] * rad
         dens += np.abs(acc) ** 2
     dens *= r * r
     peak = float(r[np.argmax(dens)]) / r_n

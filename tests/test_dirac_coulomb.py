@@ -16,7 +16,6 @@ from diracpacket import (
     PhysicalConstants,
     SupercriticalChargeError,
     binding_energy,
-    bound_energy,
     eval_radial,
     fine_splitting,
     make_circular_state,
@@ -55,7 +54,8 @@ def test_make_circular_state_labels():
 def test_ground_state_energy_sommerfeld():
     # 1s: E = sqrt(1 - xi^2) exactly
     xi = 92.0 * ALPHA
-    assert bound_energy(92, 0, -1) == pytest.approx(math.sqrt(1.0 - xi * xi), rel=1e-15)
+    energy = state_from_kappa(92, -1, 0).energy
+    assert energy == pytest.approx(math.sqrt(1.0 - xi * xi), rel=1e-15)
 
 
 def test_energy_against_mpmath():
@@ -67,13 +67,13 @@ def test_energy_against_mpmath():
                 gamma = mp.sqrt(kappa * kappa - xi * xi)
                 d = n_prime + gamma
                 ref = float(d / mp.sqrt(d * d + xi * xi))
-                assert bound_energy(Z, n_prime, kappa) == pytest.approx(ref, rel=1e-15)
+                assert state_from_kappa(Z, kappa, n_prime).energy == pytest.approx(ref, rel=1e-15)
 
 
 def test_binding_energy_no_cancellation():
     """E - 1 straight from the stable rewrite, against extended precision.
 
-    At Z = 1, n = 20 the binding is ~6.7e-8, so forming bound_energy - 1
+    At Z = 1, n = 20 the binding is ~6.7e-8, so forming E - 1
     in doubles would throw away half the digits; the dedicated routine
     must not.
     """
@@ -145,12 +145,12 @@ def test_naive_subtraction_loses_digits():
     4.8 percent error against the exact value, far outside any physics
     tolerance.
     """
-    naive_92 = bound_energy(92, 0, -20) - bound_energy(92, 1, 19)
+    naive_92 = state_from_kappa(92, -20, 0).energy - state_from_kappa(92, 19, 1).energy
     exact_92 = fine_splitting(92, 20)
     assert abs(naive_92 / exact_92 - 1.0) < 1e-7
     assert abs(naive_92 / exact_92 - 1.0) > 1e-12  # digits really were lost
 
-    naive_1 = bound_energy(1, 0, -20) - bound_energy(1, 1, 19)
+    naive_1 = state_from_kappa(1, -20, 0).energy - state_from_kappa(1, 19, 1).energy
     exact_1 = fine_splitting(1, 20)
     assert abs(naive_1 / exact_1 - 1.0) > 0.01
 
@@ -375,8 +375,6 @@ def test_state_from_kappa_validation():
         fine_splitting(True, 5)
     with pytest.raises(ValueError, match="n_prime >= 0"):
         binding_energy(92, 0.5, -1)
-    with pytest.raises(ValueError, match="n_prime >= 0"):
-        bound_energy(92, True, -1)
     with pytest.raises(ValueError, match="n_prime >= 0"):
         state_from_kappa(92, -3, True)
     with pytest.raises(ValueError, match="kappa must be a nonzero integer"):

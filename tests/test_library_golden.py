@@ -33,7 +33,6 @@ from diracpacket import (
     amplitudes,
     autocorrelation,
     binding_energy,
-    bound_energy,
     build_tables,
     component_norms,
     density_grid,
@@ -45,6 +44,7 @@ from diracpacket import (
     state_from_kappa,
     timescales,
 )
+from oracles import ket_states
 
 GOLDEN = "fcfcc0abba29b02a53f752f017220832c593ce9a7e77f3aa4861826a829c2262"
 LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
@@ -85,7 +85,7 @@ def _packet(h, Z: int, N: int, sigma: float, nonrel: bool) -> None:
     _feed(h, f"{label} norms", component_norms(tables, t))
     norm = small_norm(tables)
     _feed(h, f"{label} small", [norm.c3_norm, norm.c4_norm, norm.total])
-    _feed(h, f"{label} coefs", [k.coef for k in tables.kets])
+    _feed(h, f"{label} coefs", tables.kets.coef)
     grid = density_grid(tables, PlaneGridSpec(resolution=16), 0.37 * t_ls)
     _feed(h, f"{label} axes", [grid.x, grid.y])
     _feed(h, f"{label} grid", [grid.spin_up, grid.spin_down])
@@ -100,7 +100,7 @@ def _packet(h, Z: int, N: int, sigma: float, nonrel: bool) -> None:
     _feed(h, f"{label} fields", fields)
     if nonrel:
         return
-    states = list({(k.state.kappa, k.state.n_prime): k.state for k in tables.kets}.values())
+    states = list({(s.kappa, s.n_prime): s for s in ket_states(tables)}.values())
     _radial_and_overlaps(h, label, states, r_n * np.array([0.1, 0.9, 1.0, 1.1, 3.0]))
 
 
@@ -127,7 +127,7 @@ def label_digest() -> str:
             _feed(
                 h,
                 f"{label} energies",
-                [bound_energy(Z, n_prime, kappa), binding_energy(Z, n_prime, kappa)],
+                [state.energy, binding_energy(Z, n_prime, kappa)],
             )
         for N in N_VALUES:
             _feed(h, f"{Z} {N} splitting", fine_splitting(Z, N))

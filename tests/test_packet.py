@@ -33,7 +33,7 @@ from diracpacket import (
     timescales,
 )
 from diracpacket.packet import build_weights
-from oracles import autocorrelation_oracle
+from oracles import autocorrelation_oracle, ket_states
 
 
 # ---------------------------------------------------------------- weights
@@ -146,11 +146,11 @@ def test_kets_are_built_on_first_read():
     assert tab.kets is kets
 
 
-def test_states_are_built_on_first_read():
+def test_rows_are_built_on_first_read():
     tab = build_tables(PacketSpec(Z=92, N=20, sigma_g=2.0))
-    assert "states" not in vars(tab)
-    states = tab.states
-    assert tab.states is states
+    assert "rows" not in vars(tab)
+    rows = tab.rows
+    assert tab.rows is rows
 
 
 def test_tables_compare_and_hash_by_identity():
@@ -162,14 +162,16 @@ def test_tables_compare_and_hash_by_identity():
     assert len({first.weights, second.weights}) == 2
 
 
-def test_states_pair_with_window_shells(tables_u92_n20):
-    states_plus, states_minus = tables_u92_n20.states
+def test_rows_pair_with_window_shells(tables_u92_n20):
+    # Row i is the j+ partner of shell n[i], row n.size + i its j- partner,
+    # field for field the state make_circular_state builds.
+    rows = tables_u92_n20.rows
     n = tables_u92_n20.weights.n.tolist()
-    assert [s.n for s in states_plus] == n
-    assert [s.n for s in states_minus] == n
-    assert all(s.branch is Branch.J_PLUS for s in states_plus)
-    assert all(s.branch is Branch.J_MINUS for s in states_minus)
-    assert [s.l for s in states_plus] == [s.l for s in states_minus]
+    states = [make_circular_state(92, shell, branch) for branch in Branch for shell in n]
+    assert rows.lam.shape == (2 * len(n),)
+    for i, state in enumerate(states):
+        for name, value in rows._asdict().items():
+            assert np.asarray(getattr(state, name)).tobytes() == value[..., i].tobytes(), name
 
 
 def test_omega_is_fine_splitting(tables_u92_n20):
@@ -343,24 +345,28 @@ class _BruteSpin:
     """
 
     def __init__(self, tables):
+        kets = tables.kets
+        states = ket_states(tables)
+        part = ["gf"[p] for p in kets.part.tolist()]
         by_comp = defaultdict(list)
-        for k in tables.kets:
-            by_comp[k.component].append(k)
+        for index, comp in enumerate(kets.component.tolist()):
+            by_comp[comp].append(index)
         cache = {}
 
         def radial(ka, kb):
-            key = (ka.state, kb.state, ka.radial_part + kb.radial_part)
+            key = (states[ka], states[kb], part[ka] + part[kb])
             if key not in cache:
-                cache[key] = overlap_closed_form(ka.state, kb.state, key[2])
+                cache[key] = overlap_closed_form(states[ka], states[kb], key[2])
             return cache[key]
 
         def pairs(comp_a, comp_b):
             out = []
             for ka in by_comp[comp_a]:
                 for kb in by_comp[comp_b]:
-                    if ka.l_ang == kb.l_ang and ka.m_ang == kb.m_ang:
-                        amp = ka.coef.conjugate() * kb.coef * radial(ka, kb)
-                        out.append((amp, ka.state.energy - kb.state.energy))
+                    if kets.l_ang[ka] == kets.l_ang[kb] and kets.m_ang[ka] == kets.m_ang[kb]:
+                        amp = complex(kets.coef[ka]).conjugate() * complex(kets.coef[kb])
+                        amp *= radial(ka, kb)
+                        out.append((amp, states[ka].energy - states[kb].energy))
             return out
 
         self._cross = pairs(1, 2) + pairs(3, 4)
@@ -597,14 +603,12 @@ def test_public_surface():
         "OverlapSet",
         "SupercriticalChargeError",
         "binding_energy",
-        "bound_energy",
         "eval_radial",
         "fine_splitting",
         "make_circular_state",
         "overlap_closed_form",
         "overlap_set",
         "state_from_kappa",
-        "Ket",
         "PacketSpec",
         "PacketTables",
         "SmallNorm",
@@ -620,6 +624,6 @@ def test_public_surface():
         "sph_harm",
         "__version__",
     ]
-    assert len(diracpacket.__all__) == 35
+    assert len(diracpacket.__all__) == 33
     for name in diracpacket.__all__:
         assert hasattr(diracpacket, name), name

@@ -35,6 +35,7 @@ from diracpacket import (
 from diracpacket.constants import DEFAULT_CONSTANTS
 from diracpacket.dirac_coulomb import _coupling, _window_rows
 from diracpacket.packet import _tables
+from oracles import ket_states
 
 TOL = 1e-12
 
@@ -94,7 +95,11 @@ def test_cross_arrays_cover_orbitals_two_shells_apart(Z, N, shells, below):
 def test_array_tables_match_scalar_states_bit_for_bit(Z, N, sigma_g, theta):
     spec = _spec(Z=Z, N=N, sigma_g=sigma_g, a=math.cos(theta), b=math.sin(theta))
     tables = build_tables(spec)
-    plus, minus = tables.states
+    # The kets' states, one per window row: the j+ rows, then the j- rows.
+    by_row = dict(zip(tables.kets.row.tolist(), ket_states(tables)))
+    count = tables.weights.n.size
+    plus = [by_row[row] for row in range(count)]
+    minus = [by_row[row] for row in range(count, 2 * count)]
     sets = [overlap_set(p, m) for p, m in zip(plus, minus)]
     same_l = [
         np.array([getattr(o, name) for o in sets])
