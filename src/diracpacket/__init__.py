@@ -46,7 +46,7 @@ from .packet import (
 )
 from .specfun import legendre_norm, sph_harm
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ALPHA_DEFAULT",

@@ -2,8 +2,12 @@
 
 The packet's four complex component fields are linear combinations of
 stationary kets, each a radial profile times a spherical harmonic times a
-phase e^(-i E t).  `amplitudes` evaluates all four fields at arbitrary
-space-time points and is the reference path (tests integrate it over 3D).
+phase e^(-i (E - 1) t).  The kets are the entries of PacketTables.kets;
+each reads its radial profile from a row of PacketTables.rows and its
+binding energy E - 1 from e_plus or e_minus, the rest frame of A(t), whose
+phases stay accurate at long times where E t would not.  `amplitudes`
+evaluates all four fields at arbitrary space-time points and is the
+reference path (tests integrate it over 3D).
 `density_grid` is the fast path for the equatorial plane theta = pi/2: the
 angular factor of every ket collapses to one Legendre number there, so a
 node costs one complex multiply-add per ket after the radial profiles and
@@ -19,13 +23,12 @@ elementwise operation chain, so repeated calls give bit-identical arrays.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac_coulomb import _coupling, _shells, _take, eval_radial
+from .dirac_coulomb import _take, eval_radial
 from .packet import PacketTables, _as_time_array, _freeze
 from .specfun import legendre_norm, sph_harm
 
@@ -36,20 +39,21 @@ _ROW_BLOCK = 16
 _MAX_RESOLUTION = 2048
 
 
-def _each_row(tables: PacketTables) -> list:
-    """The rows of tables.rows one by one, each with CircularState's fields."""
-    rows = tables.rows
-    return [_take(rows, i) for i in range(rows.lam.size)]
+def _terms(tables: PacketTables, t: float) -> list[tuple]:
+    """(component, l_ang, m_ang, radial part, row, coef e^(-i (E - 1) t)) per ket."""
+    kets = tables.kets
+    binding = np.concatenate([tables.e_plus, tables.e_minus])
+    phased = kets.coef * np.exp(-1j * (binding[kets.row] * t))
+    labels = (kets.component, kets.l_ang, kets.m_ang, kets.part, kets.row, phased)
+    return list(zip(*(column.tolist() for column in labels)))
 
 
-def _prefactors(tables: PacketTables, t: float) -> list:
-    """Each ket's coefficient times its phase e^(-i E t)."""
-    xi = _coupling(tables.spec.Z, 1, int(tables.weights.n[0]) - 1, tables.spec.constants)
-    energy = _shells(xi, tables.weights.n)[0].energy
-    return [
-        complex(c) * cmath.exp(-1j * float(energy[row]) * t)
-        for c, row in zip(tables.kets.coef.tolist(), tables.kets.row.tolist())
-    ]
+def _single_time(t) -> float:
+    """t as a float, after checking that it is one finite time."""
+    arr = _as_time_array(t)
+    if arr.ndim:
+        raise ValueError(f"t must be a single time, got {arr.size} times")
+    return float(arr)
 
 
 def amplitudes(tables: PacketTables, r, theta, phi, t):
@@ -70,28 +74,25 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
-    t = float(_as_time_array(t))
+    t = _single_time(t)
 
     flat_t = np.broadcast_to(theta, shape).ravel()
     flat_p = np.broadcast_to(phi, shape).ravel()
 
     # Radial profiles and harmonics: many kets share each.
-    kets = tables.kets
-    radial = [eval_radial(row, r) for row in _each_row(tables)]
+    terms = _terms(tables, t)
+    radial = [eval_radial(_take(tables.rows, i), r) for i in range(tables.rows.lam.size)]
     harmonics = {
         (l, m): np.fromiter(
             (sph_harm(l, m, tt, pp) for tt, pp in zip(flat_t, flat_p)),
             dtype=complex,
             count=flat_t.size,
         ).reshape(shape)
-        for l, m in set(zip(kets.l_ang.tolist(), kets.m_ang.tolist()))
+        for l, m in {term[1:3] for term in terms}
     }
 
     out = [np.zeros(shape, dtype=complex) for _ in range(4)]
-    for comp, l, m, part, row, prefactor in zip(
-        kets.component.tolist(), kets.l_ang.tolist(), kets.m_ang.tolist(),
-        kets.part.tolist(), kets.row.tolist(), _prefactors(tables, t),
-    ):
+    for comp, l, m, part, row, prefactor in terms:
         out[comp - 1] += prefactor * radial[row][part] * harmonics[(l, m)]
 
     if np.ndim(r_in) == 0 and np.ndim(theta_in) == 0 and np.ndim(phi_in) == 0:
@@ -157,7 +158,7 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
 
     The returned grid satisfies spin_up >= 0, spin_down >= 0 elementwise.
     """
-    t = float(_as_time_array(t))
+    t = _single_time(t)
 
     spec = tables.spec
     xi = spec.Z * spec.constants.alpha
@@ -173,16 +174,13 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
 
     # One Legendre number per ket covers the whole plane; every ket has
     # m = l - 1, l or l + 1 with l >= 1, so m >= 0.
-    kets = tables.kets
-    prefactors = [
-        pref * legendre_norm(l, m, 0.5 * math.pi)
-        for pref, l, m in zip(_prefactors(tables, t), kets.l_ang.tolist(), kets.m_ang.tolist())
+    terms = [
+        (comp, m, part, row, pref * legendre_norm(l, m, 0.5 * math.pi))
+        for comp, l, m, part, row, pref in _terms(tables, t)
     ]
-    m_min = int(kets.m_ang.min())
-    m_max = int(kets.m_ang.max())
-    terms = list(zip(kets.component.tolist(), kets.m_ang.tolist(), kets.part.tolist(),
-                     kets.row.tolist(), prefactors))
-    rows = _each_row(tables)
+    m_min = min(term[1] for term in terms)
+    m_max = max(term[1] for term in terms)
+    rows = [_take(tables.rows, i) for i in range(tables.rows.lam.size)]
 
     spin_up = np.empty((res, res), dtype=float)
     spin_down = np.empty((res, res), dtype=float)

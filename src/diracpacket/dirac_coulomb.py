@@ -52,7 +52,8 @@ evaluate without intermediate overflow.
 The levels, radial data and overlaps are computed by kernels over NumPy
 arrays of states (_levels, _radial, _overlap).  This module owns the
 circular shell layout: only _shells labels a shell's two partners, and
-_window_rows and _shell_splittings hand the packet module whole shells.
+_window_rows, _shell_radial and _shell_splittings hand the packet module
+whole shells.
 state_from_kappa, overlap_closed_form and the energies call the kernels
 with one row, so each formula has one home.  Every transcendental goes
 through math one element at a time, which makes a result independent of
@@ -308,7 +309,8 @@ class _Radial(NamedTuple):
     """Radial data of bound states, one array entry per state.
 
     The fields are CircularState's, with each polynomial a (2, states)
-    array, so that _overlap reads either.
+    array, so that _overlap reads either, and _take(rows, i), one row,
+    is read by eval_radial as a state would be.
     """
 
     gamma: np.ndarray
@@ -388,6 +390,9 @@ def make_circular_state(
 
 def eval_radial(state: CircularState, r):
     """Evaluate (g, f) at radius r (scalar or ndarray, Compton lengths, r > 0).
+
+    state is a CircularState or one row of _Radial data, such as a row of
+    PacketTables.rows; both carry the same fields and give the same bits.
 
     Returns a pair of floats for scalar input, a pair of ndarrays otherwise.
     The full exponent (prefactor log + power law + decay) is assembled

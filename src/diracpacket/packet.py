@@ -32,8 +32,8 @@ energy E - 1, so A(t) drops the global rest-mass phase exp(-i t).  A phase
 E t with E near 1 is of the order of t itself, and at t ~ 1e17 (ten
 spin-orbit periods of hydrogen at N = 20) its rounding alone scrambles the
 differences between shells; (E - 1) t is smaller by the binding, about
-1e-7 there.  The density (density_grid, amplitudes) still evolves each
-ket with its state's absolute energy E.
+1e-7 there.  The density (density_grid, amplitudes) evolves each ket with
+the same binding energies.
 
 Everything time-dependent is evaluated from immutable precomputed tables,
 so one autocorrelation or spin sample costs O(window size) and vectorizes
@@ -47,9 +47,10 @@ dirac_coulomb owns how a shell maps to its two partner states:
 build_tables takes the window's binding energies, splittings and radial
 integrals from one _window_rows call and forms only the coefficients here,
 and timescales takes its splittings from _shell_splittings.  The
-CircularState objects of the window (PacketTables.states, and the kets
-built from them) are made on first read, which only the density does.
-timescales evaluates its Taylor jets for many (Z, N) points at once.
+density's radial data of the window's partners (PacketTables.rows, from
+_shell_radial) and its ket table (PacketTables.kets) are arrays built on
+first read; no CircularState is made for a packet.  timescales evaluates
+its Taylor jets for many (Z, N) points at once.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ class PacketTables:
 
     - the binding energies e_plus = E+ - 1 and e_minus = E- - 1 of the two
       partners (not the energies E themselves: the rest-frame phases of
-      A(t)) and the cancellation-free splitting omega (the phases of
-      every observable);
+      A(t) and of the density) and the cancellation-free splitting omega
+      (the phases of every other observable);
     - omega_tilde = e_plus(l) - e_minus(l+2) = E+(l) - E-(l+2), formed
       from the binding energies, and k_coef, the cross-shell F'_l
       correction to <sigma_x>, <sigma_y> with its weights folded in;
@@ -186,11 +187,12 @@ class PacketTables:
       the sin(omega t) coefficient of <sigma_y> is sx_cos: sy_sin is that
       same read-only array, kept only because bench/checks.py reads it.
 
-    states, the j+ and j- partner of each window shell, and kets, the
-    stationary-state expansion behind the density, are built from the spec
-    on first read and then kept, so packets that never read them (the time
-    series, small-component norms and sweeps) build no CircularState.
-    Tables compare equal only to themselves, and hash by identity.
+    rows, the radial data of the window's partners (the j+ rows, then the
+    j- rows, as e_plus and e_minus), and kets, the stationary-state
+    expansion behind the density (a _KetTable), are built on first read
+    and then kept, so packets that never read them (the time series,
+    small-component norms and sweeps) pay nothing for them.  Tables
+    compare equal only to themselves, and hash by identity.
     """
 
     spec: PacketSpec
@@ -216,7 +218,8 @@ class PacketTables:
     @functools.cached_property
     def rows(self) -> _Radial:
         """Radial data of the window's partners: the j+ rows, then the j- rows."""
-        return _shell_radial(_xi(self.spec, self.weights), self.weights.n)
+        xi = _coupling(self.spec.Z, 1, int(self.weights.n[0]) - 1, self.spec.constants)
+        return _shell_radial(xi, self.weights.n)
 
     @functools.cached_property
     def kets(self) -> _KetTable:
@@ -224,14 +227,15 @@ class PacketTables:
         return _ket_table(self.spec, self.weights)
 
 
-# Per shell, the ten kets' offsets of l_ang and m_ang from the shell's
-# orbital l, their components, radial parts (0 = g, 1 = f) and partners
-# (0 = j+, 1 = j-).
-_KET_COMPONENT = np.array([1, 1, 1, 2, 2, 3, 3, 3, 4, 4])
-_KET_L = np.array([0, 0, 0, 0, 0, 1, 1, -1, 1, 1])
-_KET_M = np.array([0, -1, -1, 0, 0, 0, -1, -1, 1, 0])
-_KET_PART = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-_KET_PARTNER = np.array([0, 0, 1, 0, 1, 0, 0, 1, 0, 0])
+# Per shell, the ten kets' components, l_ang - l, m_ang - l, radial parts
+# (0 = g, 1 = f) and partners (0 = j+, 1 = j-).
+_SHELL_KETS = np.array([
+    [1, 1, 1, 2, 2, 3, 3, 3, 4, 4],
+    [0, 0, 0, 0, 0, 1, 1, -1, 1, 1],
+    [0, -1, -1, 0, 0, 0, -1, -1, 1, 0],
+    [0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+    [0, 0, 1, 0, 1, 0, 0, 1, 0, 0],
+])
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,40 +262,33 @@ class _KetTable:
 
 
 def _ket_table(spec: PacketSpec, weights: Weights) -> _KetTable:
-    a, b = spec.a, spec.b
     count = weights.n.size
-    l = weights.n - 1
-    w = weights.w[:, np.newaxis]
-    two_l = 2.0 * l[:, np.newaxis]
+    l = (weights.n - 1)[:, np.newaxis]
+    two_l = 2.0 * l
     s = np.sqrt(two_l) / (two_l + 1.0)
-    wa, wb = w * a, w * b
-    # The five large-component kets are i times a real magnitude, the five
-    # small-component kets real; each magnitude is rounded as i w a ... was.
-    imag = np.hstack([wa, wb * s, -(wb * s), wb / (two_l + 1.0), wb * two_l / (two_l + 1.0)])
-    real = np.hstack([
+    wa, wb = weights.w[:, np.newaxis] * spec.a, weights.w[:, np.newaxis] * spec.b
+    # The five large-component coefficients are i times a magnitude, with a
+    # real part of +0.0; the five small-component coefficients are real.
+    coef = np.zeros((count, 10), dtype=complex)
+    coef.imag[:, :5] = np.hstack(
+        [wa, wb * s, -(wb * s), wb / (two_l + 1.0), wb * two_l / (two_l + 1.0)]
+    )
+    coef.real[:, 5:] = np.hstack([
         wa / np.sqrt(two_l + 3.0),
         wb * np.sqrt(2.0 / ((two_l + 1.0) * (two_l + 3.0))),
         -wb * np.sqrt(two_l / (two_l + 1.0)),
         -wa * np.sqrt((two_l + 2.0) / (two_l + 3.0)),
         -wb / np.sqrt(two_l + 3.0),
     ])
-    coef = np.zeros((count, 10), dtype=complex)
-    coef.imag[:, :5] = imag
-    coef.real[:, 5:] = real
-    shell = np.arange(count)[:, np.newaxis]
+    component, l_offset, m_offset, part, partner = _SHELL_KETS
     return _KetTable(
-        component=_freeze(np.tile(_KET_COMPONENT, count)),
-        l_ang=_freeze((l[:, np.newaxis] + _KET_L).ravel()),
-        m_ang=_freeze((l[:, np.newaxis] + _KET_M).ravel()),
+        component=_freeze(np.tile(component, count)),
+        l_ang=_freeze((l + l_offset).ravel()),
+        m_ang=_freeze((l + m_offset).ravel()),
         coef=_freeze(coef.ravel()),
-        part=_freeze(np.tile(_KET_PART, count)),
-        row=_freeze((shell + count * _KET_PARTNER).ravel()),
+        part=_freeze(np.tile(part, count)),
+        row=_freeze((np.arange(count)[:, np.newaxis] + count * partner).ravel()),
     )
-
-
-def _xi(spec: PacketSpec, weights: Weights) -> float:
-    # PacketSpec ran the check that _coupling repeats.
-    return _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
 
 
 def build_tables(
@@ -307,7 +304,9 @@ def build_tables(
     relativistic radial corrections.
     """
     weights = build_weights(spec)
-    return _tables(spec, weights, *_window_rows(_xi(spec, weights), weights.n, nonrelativistic_radial))
+    # PacketSpec ran the check that _coupling repeats.
+    xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
+    return _tables(spec, weights, *_window_rows(xi, weights.n, nonrelativistic_radial))
 
 
 def _tables(
@@ -400,8 +399,9 @@ class TimeGrid:
     start and stop are in a unit whose natural-unit duration is scale
     (TimeScales.unit_scale gives it for the named units), and values are
     the samples in natural units, as the command line prints them.
-    autocorrelation and spin_expect sum a grid in factored form; every
-    function that takes times accepts one.
+    autocorrelation and spin_expect sum a grid in factored form, and
+    component_norms accepts one too.  density_grid and amplitudes take a
+    single time and reject a grid.
     """
 
     start: float

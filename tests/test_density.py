@@ -16,6 +16,7 @@ from diracpacket import (
     Branch,
     PacketSpec,
     PlaneGridSpec,
+    TimeGrid,
     amplitudes,
     build_tables,
     density_grid,
@@ -171,6 +172,16 @@ def test_radial_marginal_peak_near_rn(tables_u92_n20):
 
 
 # ------------------------------------------------------------------ grids
+
+
+@pytest.mark.parametrize(
+    "t", [np.array([0.0, 1.0]), np.array([0.5]), TimeGrid(0.0, 1.0, 3)], ids=["array", "one", "grid"]
+)
+def test_density_takes_a_single_time(tables_u92_n4, t):
+    with pytest.raises(ValueError, match="t must be a single time"):
+        density_grid(tables_u92_n4, PlaneGridSpec(resolution=16), t)
+    with pytest.raises(ValueError, match="t must be a single time"):
+        amplitudes(tables_u92_n4, 10.0, math.pi / 2, 0.0, t)
 
 
 def test_grid_spec_validation():

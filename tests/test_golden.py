@@ -20,48 +20,48 @@ from diracpacket.cli import main
 GOLDEN = [
     (
         ("timescales", "--Z", "1:92:13", "--N", "2:30:7"),
-        "c5326a694d0aa32786a637c722da8fe18333ef67becedc754d21a9fec2e88cac",
+        "b984c258171bbf996b525eb214cc0bee52f4b81d91fdbe054c5808002f2d3c36",
     ),
     (
         ("timescales", "--Z", "137", "--N", "2", "--kmax", "6"),
-        "cc3d37885ec5e31bdfcabe371b0e0fd8b4894aa5be7e1fd652654611b723aa2f",
+        "e4758178f035bb9fde7fb398e5e70e6f65fc4b2bfe9b79b8b710f29d713dfd95",
     ),
     (
         ("autocorr", "--Z", "1", "--N", "20", "--samples", "300", "--tmax", "10.5"),
-        "daa4d708d65ac4081e53a7f7175da935a43fff8963145b5d2e7a39077d5bf029",
+        "18f49c8d3287b9edbcb8f7ce16334de4b2bc2ae05050ec616800b988ef3742d0",
     ),
     (
         ("autocorr", "--Z", "92", "--N", "20", "--unit", "kepler", "--tmin", "0.5",
          "--tmax", "3", "--samples", "200", "--no-small"),
-        "d586db66c3b76691dc602148af857b0497ef4b102fd8ee055eb646f1cc4aa0fe",
+        "978cec5e1ba71da02f35f5e6e4acf4adaaae8acc7242097fe798ef8c3e38091f",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3"),
-        "a1b027850bab3921c5d3bf4abfd9788254f4ab757a4097e52f5e83d14f3a1c30",
+        "d65bcc002b6b6851b9d9cfb14e38d4d234954afdb66ae56b21cd657f74f9e641",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3",
          "--no-delta"),
-        "8d40cc0ca087a3bd6e86c04ed1244f61639a6f8027a71b981bbaacb6ab264c1f",
+        "4e97bc2c9808af293bdcfe065ac3c3f6d49f86de391e02262e6a4440d6fce3b7",
     ),
     (
         ("spin", "--Z", "54", "--N", "12", "--sigma", "1.5", "--a", "0.6", "--b", "0.8",
          "--unit", "seconds", "--tmax", "1e-13", "--samples", "150"),
-        "8af126335da8aa2c9669f10b7bd943c7664aeee25f90e1d002566cb834e787a8",
+        "a3d05cb2aabf8ff9bb2b77a272ef8ca504033a56f88924b714d80c9f125f4317",
     ),
     (
         ("density", "--Z", "92", "--N", "20", "--unit", "kepler", "--time", "0.37",
          "--grid", "128"),
-        "a1bfb10a9afca8f56e4ceeffd989ecf934b81411f67756a240dfbc9942c2eb33",
+        "6d77707f849537f1196927d407fd4c039f5ad216424bce539217361489db1a64",
     ),
     (
         ("density", "--Z", "82", "--N", "10", "--sigma", "1.5", "--a", "1", "--b", "0",
          "--unit", "tls", "--time", "0.8", "--grid", "40", "--extent", "2.0"),
-        "f4f05aca6d2fa451701ce6b805589a483db2b40f23e7c940defcd3e57df365bc",
+        "0bcfac39c654de744b8237afb1f4a64add730a1160774fcf282684729c750dfc",
     ),
     (
         ("smallnorm", "--Z", "1:92:7", "--N", "10:40:10"),
-        "bebdbd81aab071043eae2891b2552220ac6b0c67f12ccf08b20ff73ef675fedd",
+        "53380c594b64eb67a013f8d21b4c40a7967e8aa8a0e33e4c53e662397b71f32f",
     ),
 ]
 

@@ -46,7 +46,7 @@ from diracpacket import (
 )
 from oracles import ket_states
 
-GOLDEN = "fcfcc0abba29b02a53f752f017220832c593ce9a7e77f3aa4861826a829c2262"
+GOLDEN = "b7bc40c03b9bfee6d5c9417939fb18bd1ee21add1cfcf55827675f5af7d23cd6"
 LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)

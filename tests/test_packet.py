@@ -146,6 +146,35 @@ def test_kets_are_built_on_first_read():
     assert tab.kets is kets
 
 
+@pytest.mark.parametrize("a, b", [(math.sqrt(0.5), math.sqrt(0.5)), (0.6, -0.8), (-1.0, 0.0), (0.0, 1.0)])
+def test_ket_table_matches_the_scalar_expansion(a, b):
+    # The expansion of the packet module docstring, one shell at a time in
+    # Python floats; the table's coefficients must equal it exactly.
+    tab = build_tables(PacketSpec(Z=54, N=12, sigma_g=1.5, a=a, b=b))
+    expected = []
+    for shell, (w, l) in enumerate(zip(tab.weights.w.tolist(), (tab.weights.n - 1).tolist())):
+        p, m = shell, shell + tab.weights.n.size
+        two_l = 2.0 * l
+        s = math.sqrt(two_l) / (two_l + 1.0)
+        expected += [
+            (1, l, l, 1j * w * a, 0, p),
+            (1, l, l - 1, 1j * w * b * s, 0, p),
+            (1, l, l - 1, -1j * w * b * s, 0, m),
+            (2, l, l, 1j * w * b / (two_l + 1.0), 0, p),
+            (2, l, l, 1j * w * b * two_l / (two_l + 1.0), 0, m),
+            (3, l + 1, l, w * a / math.sqrt(two_l + 3.0), 1, p),
+            (3, l + 1, l - 1, w * b * math.sqrt(2.0 / ((two_l + 1.0) * (two_l + 3.0))), 1, p),
+            (3, l - 1, l - 1, -w * b * math.sqrt(two_l / (two_l + 1.0)), 1, m),
+            (4, l + 1, l + 1, -w * a * math.sqrt((two_l + 2.0) / (two_l + 3.0)), 1, p),
+            (4, l + 1, l, -w * b / math.sqrt(two_l + 3.0), 1, p),
+        ]
+    kets = tab.kets
+    got = zip(kets.component.tolist(), kets.l_ang.tolist(), kets.m_ang.tolist(),
+              kets.coef.tolist(), kets.part.tolist(), kets.row.tolist())
+    assert len(kets) == len(expected)
+    assert list(got) == expected
+
+
 def test_rows_are_built_on_first_read():
     tab = build_tables(PacketSpec(Z=92, N=20, sigma_g=2.0))
     assert "rows" not in vars(tab)

@@ -23,6 +23,18 @@ sums of the grid path and its two products with f).  The evaluation adds
 at most 14 eps: two exponentials, their product, the coefficient (rounded
 some ten times in the tables) and the product with it.  Summing the terms
 adds eps per term.
+
+The density reference at hydrogen reuses only the library's time-independent
+factors: the ket table, the radial profiles of the kets' states (built by
+make_circular_state), the Legendre numbers and the spherical harmonics.  Each
+ket gets the phase e^{-i E t} of its 50-digit Sommerfeld binding energy E.
+A field sum_k tau_k of K kets is then off by at most
+sum_k |tau_k| eps (10 |E_k| t + 14 + 2 K + 7 m_k): the phase count above,
+the evaluation count above for both sides, eps per term for each side's
+sum, and for the grid's e^{i m phi}, which the library reaches from
+e^{i m_min phi} in at most m steps of 3 eps while the reference rounds m phi
+once, pi m eps / 2 on each side.  A density |F|^2 whose field is off by D
+is off by at most 2 |F| D + D^2, plus 3 eps of itself on each side.
 """
 
 import math
@@ -32,8 +44,22 @@ import mpmath
 import numpy as np
 import pytest
 
-from diracpacket import PacketSpec, TimeGrid, autocorrelation, build_tables, spin_expect, timescales
+from diracpacket import (
+    PacketSpec,
+    PlaneGridSpec,
+    TimeGrid,
+    amplitudes,
+    autocorrelation,
+    build_tables,
+    density_grid,
+    eval_radial,
+    legendre_norm,
+    sph_harm,
+    spin_expect,
+    timescales,
+)
 from diracpacket.constants import ALPHA_DEFAULT
+from oracles import ket_states
 
 EPS = np.finfo(float).eps
 
@@ -72,7 +98,7 @@ def _reference_terms(spec: PacketSpec):
     return coefs, energies, float(2 * mpmath.pi / splitting)
 
 
-@pytest.mark.parametrize("Z, N", [(1, 20), (1, 300), (92, 20), (92, 300)])
+@pytest.mark.parametrize("Z, N", [(1, 20), (1, 300), (1, 500), (92, 20), (92, 300), (92, 500)])
 def test_rest_frame_autocorrelation_against_50_digit_reference(Z, N):
     spec = PacketSpec(Z=Z, N=N)
     tables = build_tables(spec, nonrelativistic_radial=True)
@@ -90,6 +116,69 @@ def test_rest_frame_autocorrelation_against_50_digit_reference(Z, N):
         amp = autocorrelation(tables, path)
         assert amp.shape == times.shape
         assert float(np.max(np.abs(amp - ref))) <= bound, type(path).__name__
+
+
+# ------------------------------------------------- density at hydrogen
+
+
+def _reference_fields(tables, t: float, spatial, steps):
+    """The four fields sum_k spatial[k] e^{-i E_k t} and their error budgets.
+
+    spatial[k] is ket k's time-independent factor at the points, and
+    steps[k] the m of its e^{i m phi} where the library builds that factor
+    by steps (0 where both sides share it); see the module docstring.
+    """
+    kets = tables.kets
+    states = ket_states(tables)
+    with mpmath.workdps(50):
+        xi = mpmath.mpf(tables.spec.Z * ALPHA_DEFAULT)
+        binding = {
+            (s.n_prime, s.kappa): _sommerfeld_binding(xi, s.n_prime, s.kappa) for s in states
+        }
+        phase = {key: complex(mpmath.expj(-e * mpmath.mpf(t))) for key, e in binding.items()}
+    fields = [np.zeros(spatial[0].shape, dtype=complex) for _ in range(4)]
+    budgets = [np.zeros(spatial[0].shape) for _ in range(4)]
+    for k, state in enumerate(states):
+        key = (state.n_prime, state.kappa)
+        term = spatial[k] * phase[key]
+        count = 10.0 * abs(float(binding[key])) * t + 14.0 + 2.0 * len(kets) + 7.0 * steps[k]
+        fields[kets.component[k] - 1] += term
+        budgets[kets.component[k] - 1] += np.abs(term) * EPS * count
+    return fields, budgets
+
+
+@pytest.mark.parametrize("periods", [0.37, 10.0])
+@pytest.mark.parametrize("N", [20, 300])
+def test_hydrogen_density_against_50_digit_phases(N, periods):
+    tables = build_tables(PacketSpec(Z=1, N=N))
+    t = periods * timescales(1, N).t_ls
+    kets = tables.kets
+    states = ket_states(tables)
+    labels = list(zip(kets.coef.tolist(), kets.l_ang.tolist(), kets.m_ang.tolist(),
+                      kets.part.tolist(), states))
+
+    grid = density_grid(tables, PlaneGridSpec(resolution=16), t)
+    x, y = grid.x[np.newaxis, :], grid.y[:, np.newaxis]
+    r, phi = np.hypot(x, y), np.arctan2(y, x)
+    spatial = [
+        c * legendre_norm(l, m, 0.5 * math.pi) * eval_radial(s, r)[p] * np.exp(1j * m * phi)
+        for c, l, m, p, s in labels
+    ]
+    fields, budgets = _reference_fields(tables, t, spatial, kets.m_ang.tolist())
+    for got, pair in ((grid.spin_up, (0, 2)), (grid.spin_down, (1, 3))):
+        want = sum(np.abs(fields[c]) ** 2 for c in pair)
+        bound = sum(2.0 * np.abs(fields[c]) * budgets[c] + budgets[c] ** 2 for c in pair)
+        assert np.all(np.abs(got - want) <= bound + 6.0 * EPS * want)
+
+    r_n = N * N / ALPHA_DEFAULT
+    r, theta, phi = r_n * np.array([0.5, 0.95, 1.3]), np.array([0.5 * math.pi, 1.0, 2.0]), 0.3
+    spatial = [
+        c * eval_radial(s, r)[p] * np.array([sph_harm(l, m, tt, phi) for tt in theta])
+        for c, l, m, p, s in labels
+    ]
+    fields, budgets = _reference_fields(tables, t, spatial, [0] * len(kets))
+    for got, want, bound in zip(amplitudes(tables, r, theta, phi, t), fields, budgets):
+        assert np.all(np.abs(got - want) <= bound)
 
 
 # ------------------------------------------------ grid path against direct
