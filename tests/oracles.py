@@ -1,7 +1,9 @@
 """Slow references the tests check the library against: adaptive
 Gauss-Legendre quadrature, radial overlaps by that quadrature in place of
 the closed-form Gamma moments, and A(t) summed over ket pairs with
-quadrature radials in place of the per-l coefficient tables.
+quadrature radials in place of the per-l coefficient tables.  The kets'
+states come from the scalar make_circular_state, not from the window rows
+the library evaluates.
 
 A quadrature panel is accepted when one 15-point evaluation and the sum of
 its two half-panel evaluations agree within the panel's share of the

@@ -23,7 +23,6 @@ from diracpacket import (
     make_circular_state,
     timescales,
 )
-
 from oracles import ket_states
 
 XI_92 = 92.0 / 137.036
