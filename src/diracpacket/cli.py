@@ -47,6 +47,7 @@ from .dirac_coulomb import SupercriticalChargeError
 from .packet import (
     PacketSpec,
     TimeGrid,
+    _sweep_tables,
     _timescale_rows,
     autocorrelation,
     build_tables,
@@ -331,11 +332,16 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
 
 def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     z_values, n_values = _sweep(cfg)
+    sigma_g, a, b = float(cfg["sigma"]), float(cfg["a"]), float(cfg["b"])
+    # Z-major and lazy: _sweep_tables computes one charge's shell rows at a
+    # time, and every row shares its N with n_values.
+    specs = (
+        PacketSpec(Z=Z, N=N, sigma_g=sigma_g, a=a, b=b) for Z in z_values for N in n_values
+    )
     rows = []
-    for Z in z_values:
-        for N in n_values:
-            norm = small_norm(build_tables(_packet_spec(dict(cfg, Z=Z, N=N))))
-            rows.append((Z, N, norm.c3_norm, norm.c4_norm, norm.total))
+    for tables in _sweep_tables(specs):
+        norm = small_norm(tables)
+        rows.append((tables.spec.Z, tables.spec.N, norm.c3_norm, norm.c4_norm, norm.total))
     header = ["Z", "N", "c3_norm", "c4_norm", "total"]
     return {}, header, rows
 

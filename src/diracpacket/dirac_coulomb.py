@@ -477,7 +477,9 @@ def _window_rows(xi: float, n: np.ndarray, nonrelativistic_radial: bool) -> tupl
     <f+|f+>, <f-|f->, and F'(n) = <f+(n)|f-(n + 2)> over all but the last
     two shells; with nonrelativistic_radial, their limits 1 (g) and 0 (f).
     A row depends only on xi and its shell, so a sub-range's rows are a
-    slice of these.
+    slice of these: packet._sweep_tables calls this once per run of
+    windows of one charge and slices each window's rows from the run's,
+    and build_tables is its one-window case.
     """
     level, omega = _shells(xi, n)
     count = len(n)

@@ -44,9 +44,10 @@ matrix product built from S (Q + B) exponentials, each from its own
 argument, in place of K S of them.
 
 dirac_coulomb owns how a shell maps to its two partner states:
-build_tables takes the window's binding energies, splittings and radial
-integrals from one _window_rows call and forms only the coefficients here,
-and timescales takes its splittings from _shell_splittings.  The
+build_tables and the sweep's _sweep_tables take the binding energies,
+splittings and radial integrals from one _window_rows call per run of
+windows of one charge and form only the coefficients here, and timescales
+takes its splittings from _shell_splittings.  The
 density's radial data of the window's partners (PacketTables.rows, from
 _shell_radial) and its ket table (PacketTables.kets) are arrays built on
 first read; no CircularState is made for a packet.  timescales evaluates
@@ -56,6 +57,7 @@ its Taylor jets for many (Z, N) points at once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -301,12 +303,52 @@ def build_tables(
     their limit values (all large-component overlaps 1, all
     small-component integrals 0) while energies keep their exact values;
     comparing observables against this variant isolates the genuinely
-    relativistic radial corrections.
+    relativistic radial corrections.  This is the one-spec sweep of
+    _sweep_tables: one _window_rows call over the window.
     """
-    weights = build_weights(spec)
-    # PacketSpec ran the check that _coupling repeats.
-    xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
-    return _tables(spec, weights, *_window_rows(xi, weights.n, nonrelativistic_radial))
+    return next(_sweep_tables([spec], nonrelativistic_radial))
+
+
+def _sweep_tables(specs, nonrelativistic_radial: bool = False):
+    """Yield build_tables(spec) for each of specs, in order.
+
+    A row of _window_rows depends only on the charge and its shell, so
+    consecutive specs of one charge (equal Z and constants) share theirs:
+    their windows, sorted, merge into runs of windows that overlap or
+    touch, _window_rows evaluates each run once, and each spec takes the
+    slice of its run at its window (F' the slice ending two shells early),
+    bit for bit the rows of its own window.  A sparse sweep evaluates its
+    windows' shells only, not the span between them.  Only one charge's
+    rows are alive at a time; seeing where a charge ends draws the first
+    spec of the next one.  A run spans at most _MAX_SHELLS shells, as one
+    window may, and a charge's specs are taken _MAX_SHELLS at a time, so a
+    long sweep of one charge holds no more than a sweep over many.
+    """
+    for _, charge in itertools.groupby(specs, key=lambda spec: (spec.Z, spec.constants)):
+        while group := list(itertools.islice(charge, _MAX_SHELLS)):
+            runs: list[list[int]] = []
+            run_of = {}
+            for lo, hi in sorted({spec.window for spec in group}):
+                if not runs or lo > runs[-1][1] + 1 or hi - runs[-1][0] >= _MAX_SHELLS:
+                    runs.append([lo, hi])
+                runs[-1][1] = max(runs[-1][1], hi)
+                run_of[lo, hi] = len(runs) - 1
+            rows = []
+            for lo, hi in runs:
+                # PacketSpec ran the check that _coupling repeats.
+                xi = _coupling(group[0].Z, 1, lo - 1, group[0].constants)
+                rows.append(_window_rows(xi, np.arange(lo, hi + 1), nonrelativistic_radial))
+            for spec in group:
+                run = run_of[spec.window]
+                first = spec.window[0] - runs[run][0]
+                stop = first + spec.window[1] - spec.window[0] + 1
+                *per_shell, f_prime = rows[run]
+                yield _tables(
+                    spec,
+                    build_weights(spec),
+                    *(row[first:stop] for row in per_shell),
+                    f_prime[first : max(first, stop - 2)],
+                )
 
 
 def _tables(

@@ -77,8 +77,9 @@ def test_sweeps_build_no_states(tracing, tmp_path):
         for argv in JOBS:
             with tracer.job():
                 assert cli.main([*argv, "--out", str(tmp_path / f"{argv[0]}.csv")]) == 0
-    # Eight smallnorm packets, and one each for autocorr, spin and density.
-    assert tracer.counts["packet.build_tables_calls"] == 11
+    # One each for autocorr, spin and density; smallnorm's eight packets come
+    # from packet._sweep_tables, one _window_rows call per charge.
+    assert tracer.counts["packet.build_tables_calls"] == 3
     assert tracer.counts["dirac_coulomb.make_circular_state_calls"] == 0
     assert tracer.counts["dirac_coulomb.overlap_calls"] == 0
 

@@ -415,6 +415,51 @@ def test_kets_built_only_for_density(tmp_path, monkeypatch, capsys):
         assert rc == 0 and len(calls) == expected, argv[0]
 
 
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        # Windows [2, 20], [10, 30], ..., [50, 70]: one run of 69 shells per charge.
+        (["--Z", "1:3", "--N", "10:60:10"], [(2, 70)] * 3),
+        # Windows [2, 20] and [21, 41] touch; [2, 20] and [22, 42] do not.
+        (["--Z", "5", "--N", "10:31:21"], [(2, 41)]),
+        (["--Z", "5", "--N", "10:32:22"], [(2, 20), (22, 42)]),
+        # Windows 10,000 shells apart: ten runs, not the span between them.
+        (
+            ["--Z", "5", "--N", "10:90010:10000"],
+            [(2, 20)] + [(N - 10, N + 10) for N in range(10010, 90011, 10000)],
+        ),
+        # Windows [N - 1, N + 1]: no run passes 1,001 shells, and the 1,101
+        # specs come 1,001 at a time.
+        (
+            ["--Z", "1", "--N", "2:1102", "--sigma", "0.1"],
+            [(2, 1002), (1001, 1003), (1002, 1103)],
+        ),
+    ],
+    ids=["dense", "touching", "one-shell-apart", "sparse", "long"],
+)
+def test_smallnorm_calls_window_rows_once_per_run(argv, runs, tmp_path, monkeypatch, capsys):
+    calls = []
+    window_rows = packet._window_rows
+
+    def recorded(xi, n, nonrelativistic_radial):
+        calls.append((int(n[0]), int(n[-1])))
+        return window_rows(xi, n, nonrelativistic_radial)
+
+    monkeypatch.setattr(packet, "_window_rows", recorded)
+    rc, _, _ = run_cli(["smallnorm", *argv, "--out", str(tmp_path / "out.csv")], capsys)
+    assert rc == 0 and calls == runs
+
+
+def test_smallnorm_sweep_reports_its_first_bad_charge(tmp_path, capsys):
+    out = tmp_path / "F"
+    rc, stdout, err = run_cli(
+        ["smallnorm", "--Z", "136:138", "--N", "10:20:10", "--out", str(out)], capsys
+    )
+    message = "supercritical coupling: Z*alpha = 1.00703465 >= |kappa| = 1 (Z = 138, kappa = 1)"
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_repeated_main_calls_leave_no_cyclic_garbage(tmp_path):
     # The parser is built once per process, so a job after the first
     # leaves nothing behind for the cyclic collector.

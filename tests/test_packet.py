@@ -32,7 +32,7 @@ from diracpacket import (
     spin_expect,
     timescales,
 )
-from diracpacket.packet import build_weights
+from diracpacket.packet import _sweep_tables, build_weights
 from oracles import autocorrelation_oracle, ket_states
 
 
@@ -180,6 +180,23 @@ def test_rows_are_built_on_first_read():
     assert "rows" not in vars(tab)
     rows = tab.rows
     assert tab.rows is rows
+
+
+def test_sweep_tables_stream_charge_by_charge():
+    drawn = []
+
+    def specs():
+        for Z in (1, 2):
+            for N in (10, 20, 30):
+                drawn.append((Z, N))
+                yield PacketSpec(Z=Z, N=N)
+
+    sweep = _sweep_tables(specs())
+    first = [next(sweep) for _ in range(3)]
+    # Seeing where the first charge ends draws one spec of the second, no more.
+    assert drawn == [(1, 10), (1, 20), (1, 30), (2, 10)]
+    rest = list(sweep)
+    assert [(t.spec.Z, t.spec.N) for t in first + rest] == drawn
 
 
 def test_tables_compare_and_hash_by_identity():

@@ -7,7 +7,9 @@ no longer than 1, and a small-component population in [0, 1).  The tables
 built as arrays over the window must equal, bit for bit, the tables
 assembled from the scalar binding energies, splittings and overlaps of the
 window's states, for N up to 500, and the rows of a sub-range of shells
-must be a slice of the rows of the whole range.  Specs that PacketSpec
+must be a slice of the rows of the whole range.  A sweep's tables, sliced
+from one _window_rows call per run of windows of a charge, must equal
+those of each spec's own window, bit for bit.  Specs that PacketSpec
 rejects (supercritical window shells) are skipped.
 """
 
@@ -34,7 +36,7 @@ from diracpacket import (
 )
 from diracpacket.constants import DEFAULT_CONSTANTS
 from diracpacket.dirac_coulomb import _coupling, _window_rows
-from diracpacket.packet import _tables
+from diracpacket.packet import _sweep_tables, _tables, build_weights
 from oracles import ket_states
 
 TOL = 1e-12
@@ -141,3 +143,57 @@ def test_window_rows_of_a_sub_range_are_a_slice(Z, start, shells, data):
     for got, want in zip(part, expected):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _charge_groups(draw):
+    """Specs charge by charge, each window placed against the one before it."""
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        Z = draw(st.integers(1, 137))
+        lo, hi = 2, draw(st.integers(2, 500))
+        for _ in range(draw(st.integers(1, 5))):
+            place = draw(st.sampled_from(["default", "repeat", "overlap", "touch", "apart"]))
+            start = {
+                "overlap": lambda: draw(st.integers(lo, hi)),
+                "touch": lambda: hi + 1,
+                "apart": lambda: hi + draw(st.integers(2, 40)),
+            }.get(place)
+            if start is not None:
+                lo = min(start(), 500)
+                hi = lo + draw(st.integers(0, 40))
+            theta = draw(st.floats(0.0, 2.0 * math.pi))
+            sigma_g = draw(st.floats(0.3, 4.0))
+            spec = dict(Z=Z, sigma_g=sigma_g, a=math.cos(theta), b=math.sin(theta))
+            if place == "default":
+                # A centroid near n = 2 clamps the default window there.
+                specs.append(PacketSpec(N=draw(st.integers(2, 500)), **spec))
+            else:
+                N = draw(st.integers(lo, min(hi, 500)))
+                specs.append(PacketSpec(N=N, window=(lo, hi), **spec))
+            lo, hi = specs[-1].window
+    return specs
+
+
+@given(specs=_charge_groups())
+def test_sweep_tables_match_each_window_bit_for_bit(specs):
+    for nonrelativistic_radial in (False, True):
+        swept = list(_sweep_tables(iter(specs), nonrelativistic_radial))
+        assert [tables.spec for tables in swept] == specs
+        for spec, tables in zip(specs, swept):
+            # One _window_rows call over the spec's own window.
+            weights = build_weights(spec)
+            xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
+            rows = _window_rows(xi, weights.n, nonrelativistic_radial)
+            expected = _tables(spec, weights, *rows)
+            for field in fields(tables):
+                value = getattr(tables, field.name)
+                if field.name == "weights":
+                    pairs = [(value.n, weights.n), (value.w, weights.w)]
+                elif isinstance(value, np.ndarray):
+                    pairs = [(value, getattr(expected, field.name))]
+                else:
+                    continue
+                for got, want in pairs:
+                    assert got.dtype == want.dtype and got.shape == want.shape, field.name
+                    assert got.tobytes() == want.tobytes(), field.name
