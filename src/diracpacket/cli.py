@@ -16,14 +16,13 @@ Each subcommand takes only the flags and config keys of its own manifest
 (plus ``--config`` and ``--out``), and a manifest written by another
 subcommand is rejected.
 
-Subcommands return their rows as plain values (ints, floats and
-strings); all text comes from one float format, ``_FLOAT`` (17
-significant digits, round-trip exact for doubles, '.' decimal
-separator), or from ``str``.  The CSV writer formats every value except
-density's axis labels: each grid axis holds few distinct values, so
-``density`` formats them with ``_FLOAT`` once, ahead of time, and
-repeats the strings.  The writer uses CRLF line endings and streams the
-rows to the output without buffering the file.
+Subcommands return their output as columns: 1-D float64 arrays, or
+int and string arrays.  All text comes from one float format, ``%.17g``
+(17 significant digits, round-trip exact for doubles, '.' decimal
+separator), or from ``str``.  The writer (``_csv_format``) formats the
+columns a chunk of rows at a time, with exactly the bytes that
+``"%.17g" % v`` gives, and writes them in binary with CRLF line endings,
+never holding the whole file's text.
 
 Exit status 0 when every output was written; 2 when a parameter violates
 a precondition (the message names it); 1 for unexpected failures.
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -41,6 +39,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._csv_format import Columns
 from .constants import DEFAULT_CONSTANTS
 from .density import PlaneGridSpec, density_grid
 from .dirac_coulomb import SupercriticalChargeError
@@ -59,14 +58,11 @@ from .packet import (
 _UNITS = ("natural", "kepler", "tls", "seconds")
 
 # Most time samples in one series: 5 times 200,000, whose run peaks near
-# 95 MB (1,000,000 near 350 MB, mostly CSV rows); see README.
+# 45 MB (1,000,000 near 95 MB, mostly the series' arrays); see README.
 _MAX_SAMPLES = 1_000_000
 
 # Most (Z, N) points in one sweep (18 times the benchmark's 5,428); see README.
 _MAX_SWEEP = 100_000
-
-# The one text form of a float: 17 significant digits round-trip a double.
-_FLOAT = "%.17g"
 
 # Parameters echoed into the manifest, per subcommand.  Everything that
 # influences the output bytes is listed, and nothing else: these are also
@@ -210,25 +206,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _write_csv(out_path, manifest: dict, header: list[str], rows: list[tuple]) -> None:
-    """Stream the manifest line, the header and rows to out_path or stdout.
-
-    A column whose first value is a float is formatted with ``_FLOAT``,
-    any other column with ``str`` (``%s``); a column of strings already
-    formatted with ``_FLOAT`` is therefore written as is.
-    """
-    template = ",".join(_FLOAT if isinstance(v, float) else "%s" for v in rows[0])
-    template += "\r\n"
-    lines = itertools.chain(
-        ("# " + json.dumps(manifest, sort_keys=True) + "\r\n", ",".join(header) + "\r\n"),
-        (template % row for row in rows),
-    )
+def _write_csv(out_path, manifest: dict, header: list[str], columns: Columns) -> None:
+    """Write the manifest line, the header and the rows of columns to out_path or stdout."""
+    head = f"# {json.dumps(manifest, sort_keys=True)}\r\n{','.join(header)}\r\n".encode()
     if out_path is None:
-        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(head)
+        columns.write(sys.stdout.buffer)
         return
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+        with open(out_path, "wb") as fh:
+            fh.write(head)
+            columns.write(fh)
     except OSError as exc:
         raise CliError(f"cannot write output {out_path!r}: {exc}") from None
 
@@ -243,20 +232,26 @@ def _packet_spec(cfg: dict) -> PacketSpec:
     )
 
 
-def cmd_timescales(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
+def cmd_timescales(cfg: dict) -> tuple[dict, list[str], Columns]:
     z_values, n_values = _sweep(cfg)
     kmax = int(cfg["kmax"])
-    points = [(Z, N) for Z in z_values for N in n_values]
-    t, t_ls, t_cl = _timescale_rows(
-        [Z for Z, _ in points], [N for _, N in points], kmax, DEFAULT_CONSTANTS, "j_plus"
-    )
+    z_points = [Z for Z in z_values for _ in n_values]
+    n_points = n_values * len(z_values)
+    t, t_ls, t_cl = _timescale_rows(z_points, n_points, kmax, DEFAULT_CONSTANTS, "j_plus")
+    # One row per point and label: k = 1..kmax, then ls and cl.
+    times = np.column_stack([t, t_ls, t_cl])
+    labels = [str(k) for k in range(1, kmax + 1)] + ["ls", "cl"]
     seconds = DEFAULT_CONSTANTS.compton_time_seconds
-    rows = []
-    for (Z, N), times, ls, cl in zip(points, t.tolist(), t_ls.tolist(), t_cl.tolist()):
-        labelled = [*enumerate(times, start=1), ("ls", ls), ("cl", cl)]
-        rows += [(Z, N, k, tk, tk / times[0], tk * seconds) for k, tk in labelled]
+    columns = Columns(
+        np.repeat(z_points, len(labels)),
+        np.repeat(n_points, len(labels)),
+        np.tile(labels, len(z_points)),
+        times.ravel(),
+        (times / t[:, :1]).ravel(),
+        (times * seconds).ravel(),
+    )
     header = ["Z", "N", "k", "T_k_natural", "T_k_over_T1", "T_k_seconds"]
-    return {}, header, rows
+    return {}, header, columns
 
 
 def _time_grid(cfg: dict, spec: PacketSpec) -> tuple[np.ndarray, TimeGrid]:
@@ -273,33 +268,30 @@ def _time_grid(cfg: dict, spec: PacketSpec) -> tuple[np.ndarray, TimeGrid]:
     return np.linspace(tmin, tmax, samples), grid
 
 
-def cmd_autocorr(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
+def cmd_autocorr(cfg: dict) -> tuple[dict, list[str], Columns]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec, nonrelativistic_radial=bool(cfg["no_small"]))
     t_unit, grid = _time_grid(cfg, spec)
     amp = autocorrelation(tables, grid)
-    # Python's abs(complex) ** 2, not np.abs(amp) ** 2: the two differ in
-    # the last bit for about a third of all values.
-    abs_sq = [abs(a) ** 2 for a in amp.tolist()]
-    rows = list(
-        zip(t_unit.tolist(), grid.values.tolist(), amp.real.tolist(), amp.imag.tolist(), abs_sq)
-    )
+    # Python's abs(a) ** 2 bit for bit: hypot, then pow(x, 2.0).  np.abs(amp)
+    # ** 2 differs in the last bit for about a third of all values.
+    abs_sq = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+    columns = Columns(t_unit, grid.values, amp.real, amp.imag, abs_sq)
     header = ["t_in_selected_unit", "t_natural", "re_A", "im_A", "abs_A_squared"]
-    return {}, header, rows
+    return {}, header, columns
 
 
-def cmd_spin(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
+def cmd_spin(cfg: dict) -> tuple[dict, list[str], Columns]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec, nonrelativistic_radial=bool(cfg["no_small"]))
     t_unit, grid = _time_grid(cfg, spec)
     sx, sy, sz = spin_expect(tables, grid, include_delta=not cfg["no_delta"])
     length = np.sqrt(sx * sx + sy * sy + sz * sz)
-    rows = list(zip(*(column.tolist() for column in (t_unit, sx, sy, sz, length))))
     header = ["t", "sx", "sy", "sz", "spin_length"]
-    return {}, header, rows
+    return {}, header, Columns(t_unit, sx, sy, sz, length)
 
 
-def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
+def cmd_density(cfg: dict) -> tuple[dict, list[str], Columns]:
     spec = _packet_spec(cfg)
     tables = build_tables(spec)
     scales = timescales(spec.Z, spec.N, constants=spec.constants)
@@ -307,17 +299,12 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
     grid_spec = PlaneGridSpec(extent=float(cfg["extent"]), resolution=int(cfg["grid"]))
     grid = density_grid(tables, grid_spec, t_nat)
     r_n = grid.r_n
-    # Each axis label is formatted once and repeated: 2 x 512 strings, not
-    # 2 x 262,144 floats, for a 512^2 grid.
-    x_labels = [_FLOAT % x for x in (grid.x / r_n).tolist()]
-    y_labels = [_FLOAT % y for y in (grid.y / r_n).tolist()]
+    x, y = grid.x / r_n, grid.y / r_n
     # Long format, row-major: x varies fastest, as in spin_up[i, j] at (x[j], y[i]).
-    rows = list(
-        zip(
-            x_labels * len(y_labels),
-            [y for y in y_labels for _ in x_labels],
-            *(values.ravel().tolist() for values in (grid.spin_up, grid.spin_down, grid.total)),
-        )
+    columns = Columns(
+        np.tile(x, y.size),
+        np.repeat(y, x.size),
+        *(values.ravel() for values in (grid.spin_up, grid.spin_down, grid.total)),
     )
     header = ["x_over_rN", "y_over_rN", "rho_up", "rho_down", "rho_total"]
     extra = {
@@ -327,23 +314,25 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
         "t_tls": t_nat / scales.t_ls,
         "t_seconds": t_nat * scales.constants.compton_time_seconds,
     }
-    return extra, header, rows
+    return extra, header, columns
 
 
-def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], list[tuple]]:
+def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], Columns]:
     z_values, n_values = _sweep(cfg)
     sigma_g, a, b = float(cfg["sigma"]), float(cfg["a"]), float(cfg["b"])
     # Z-major and lazy: _sweep_tables computes one charge's shell rows at a
-    # time, and every row shares its N with n_values.
+    # time, and yields the packets' tables in the order of specs.
     specs = (
         PacketSpec(Z=Z, N=N, sigma_g=sigma_g, a=a, b=b) for Z in z_values for N in n_values
     )
-    rows = []
-    for tables in _sweep_tables(specs):
+    norms = np.empty((3, len(z_values) * len(n_values)))
+    for i, tables in enumerate(_sweep_tables(specs)):
         norm = small_norm(tables)
-        rows.append((tables.spec.Z, tables.spec.N, norm.c3_norm, norm.c4_norm, norm.total))
+        norms[:, i] = norm.c3_norm, norm.c4_norm, norm.total
+    z = np.repeat(z_values, len(n_values))
+    n = np.tile(n_values, len(z_values))
     header = ["Z", "N", "c3_norm", "c4_norm", "total"]
-    return {}, header, rows
+    return {}, header, Columns(z, n, *norms)
 
 
 _COMMANDS = {
@@ -419,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        extra, header, rows = _COMMANDS[args.command](cfg)
+        extra, header, columns = _COMMANDS[args.command](cfg)
         params = {}
         for key in _MANIFEST_KEYS[args.command]:
             value = cfg[key]
@@ -433,7 +422,7 @@ def main(argv=None) -> int:
             "params": params,
         }
         manifest.update(extra)
-        _write_csv(cfg["out"], manifest, header, rows)
+        _write_csv(cfg["out"], manifest, header, columns)
     except (CliError, SupercriticalChargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

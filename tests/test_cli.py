@@ -91,6 +91,17 @@ def test_autocorr_series_starts_at_unity(capsys):
     assert manifest["params"]["sigma"] == 0.8
 
 
+def test_autocorr_modulus_squared_is_pythons_abs_squared(tmp_path):
+    # The array expression must give abs(complex) ** 2 bit for bit; the
+    # written digits round-trip, so the file carries the exact values.
+    out = tmp_path / "a.csv"
+    assert main(["autocorr", "--Z", "92", "--N", "20", "--samples", "200000",
+                 "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=2, usecols=(2, 3, 4))
+    expected = [abs(complex(re, im)) ** 2 for re, im in data[:, :2].tolist()]
+    assert data[:, 2].tobytes() == np.array(expected).tobytes()
+
+
 def test_spin_series_initial_row(capsys):
     rc, out, _ = run_cli(
         ["spin", "--Z", "92", "--N", "4", "--sigma", "0.8",
