@@ -28,7 +28,7 @@ GOLDEN = [
     ),
     (
         ("autocorr", "--Z", "1", "--N", "20", "--samples", "300", "--tmax", "10.5"),
-        "18f49c8d3287b9edbcb8f7ce16334de4b2bc2ae05050ec616800b988ef3742d0",
+        "d768015a1ab1b2ffa47af7fbda1099d081463064dca5163c921a9a578f350962",
     ),
     (
         ("autocorr", "--Z", "92", "--N", "20", "--unit", "kepler", "--tmin", "0.5",
@@ -37,17 +37,17 @@ GOLDEN = [
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3"),
-        "d65bcc002b6b6851b9d9cfb14e38d4d234954afdb66ae56b21cd657f74f9e641",
+        "7e77131781ae127051f7fdc53f63c3fb086bfcc9907333bdba9bd135978ce394",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3",
          "--no-delta"),
-        "4e97bc2c9808af293bdcfe065ac3c3f6d49f86de391e02262e6a4440d6fce3b7",
+        "2d1eccf334aa29a03c1c79f25c42fccd448499edc081d290f3bef2536cd31b8f",
     ),
     (
         ("spin", "--Z", "54", "--N", "12", "--sigma", "1.5", "--a", "0.6", "--b", "0.8",
          "--unit", "seconds", "--tmax", "1e-13", "--samples", "150"),
-        "a3d05cb2aabf8ff9bb2b77a272ef8ca504033a56f88924b714d80c9f125f4317",
+        "7ca5749f4fa5454f51ebb35fefefadb74ec925abc32a9067d4637cf4d59009bf",
     ),
     (
         ("density", "--Z", "92", "--N", "20", "--unit", "kepler", "--time", "0.37",
@@ -61,7 +61,7 @@ GOLDEN = [
     ),
     (
         ("smallnorm", "--Z", "1:92:7", "--N", "10:40:10"),
-        "53380c594b64eb67a013f8d21b4c40a7967e8aa8a0e33e4c53e662397b71f32f",
+        "33ad808b4732703c55dc8f67ff662704a856cf8fc09f6459f69851da777f70fc",
     ),
 ]
 

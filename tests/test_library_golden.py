@@ -46,7 +46,7 @@ from diracpacket import (
 )
 from oracles import ket_states
 
-GOLDEN = "b7bc40c03b9bfee6d5c9417939fb18bd1ee21add1cfcf55827675f5af7d23cd6"
+GOLDEN = "574ab001a0109ec046407dbca91e5b4b97d40a0c734669ee715e07272aa1a6ae"
 LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)
