@@ -69,10 +69,10 @@ def _words(table: np.ndarray) -> np.ndarray:
 
 def _group_words() -> tuple[np.ndarray, np.ndarray]:
     """Word of each 4-digit group 0..9999 (digits with '.' slots between), and its trailing zeros."""
-    g = np.arange(10_000)
-    text = np.full((g.size, 8), ord("."), np.uint8)
-    text[:, 0::2] = g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    zeros = sum((g % 10**k == 0).astype(np.uint64) for k in range(1, 5))
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
+    text = np.full((len(digits), 8), ord("."), np.uint8)
+    text[:, 0::2] = digits + ord("0")
+    zeros = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1, dtype=np.uint64)
     return _words(text)[:, 0], zeros
 
 

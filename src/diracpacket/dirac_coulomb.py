@@ -50,7 +50,8 @@ exponent before a single exp call, so states up to n of a few hundred
 evaluate without intermediate overflow.
 
 The levels, radial data and overlaps are computed by kernels over NumPy
-arrays of states (_levels, _radial, _overlap).  This module owns the
+arrays of states (_levels, _radial, _overlap, and _norm for a state with
+itself, whose log-Gamma terms cancel analytically).  This module owns the
 circular shell layout: only _shells labels a shell's two partners, and
 _window_rows, _shell_radial and _shell_splittings hand the packet module
 whole shells.
@@ -483,8 +484,9 @@ def _norm(n_prime, energy, rows, part: str) -> np.ndarray:
         <g|g> = M (1 + E) / (4 N s),    <f|f> = M (1 - E) / (4 N s),
 
     with c = 2 gamma + 1, N = (n' + gamma) / E, s = beta / c^n' (the
-    coefficient of x^n' in g's polynomial) and M = p0^2 + 2 c p0 p1
-    + c (c + 1) p1^2 the moments of the component's polynomial p.  Without
+    coefficient of x^n' in g's polynomial), M = p0^2 + 2 c p0 p1
+    + c (c + 1) p1^2 the moments of the component's polynomial p, and
+    1 - E taken as lambda^2 / (1 + E), as in _radial.  Without
     the cancellation the exponent carries lgamma(c), whose rounding put
     |<g|g> + <f|f> - 1| near 1e-12 by N = 165.
     """
