@@ -21,8 +21,9 @@ int and string arrays.  All text comes from one float format, ``%.17g``
 (17 significant digits, round-trip exact for doubles, '.' decimal
 separator), or from ``str``.  The writer (``_csv_format``) formats the
 columns a chunk of rows at a time, with exactly the bytes that
-``"%.17g" % v`` gives, and writes them in binary with CRLF line endings,
-never holding the whole file's text.
+``"%.17g" % v`` gives, and writes them in binary with CRLF line endings
+(as text to a stdout with no binary buffer), never holding the whole
+file's text.
 
 Exit status 0 when every output was written; 2 when a parameter violates
 a precondition (the message names it); 1 for unexpected failures.
@@ -35,6 +36,7 @@ import functools
 import json
 import math
 import sys
+import types
 
 import numpy as np
 
@@ -42,10 +44,10 @@ from . import __version__
 from ._csv_format import Columns
 from .constants import DEFAULT_CONSTANTS
 from .density import PlaneGridSpec, density_grid
-from .dirac_coulomb import SupercriticalChargeError
 from .packet import (
     PacketSpec,
     TimeGrid,
+    _TIME_UNITS as _UNITS,
     _sweep_tables,
     _timescale_rows,
     autocorrelation,
@@ -54,8 +56,6 @@ from .packet import (
     spin_expect,
     timescales,
 )
-
-_UNITS = ("natural", "kepler", "tls", "seconds")
 
 # Most time samples in one series: 5 times 200,000, whose run peaks near
 # 45 MB (1,000,000 near 95 MB, mostly the series' arrays); see README.
@@ -211,8 +211,11 @@ def _write_csv(out_path, manifest: dict, header: list[str], columns: Columns) ->
     head = f"# {json.dumps(manifest, sort_keys=True)}\r\n{','.join(header)}\r\n".encode()
     if out_path is None:
         sys.stdout.flush()
-        sys.stdout.buffer.write(head)
-        columns.write(sys.stdout.buffer)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream, such as io.StringIO; the CSV is ASCII
+            out = types.SimpleNamespace(write=lambda data: sys.stdout.write(data.decode("ascii")))
+        out.write(head)
+        columns.write(out)
         return
     try:
         with open(out_path, "wb") as fh:
@@ -222,14 +225,13 @@ def _write_csv(out_path, manifest: dict, header: list[str], columns: Columns) ->
         raise CliError(f"cannot write output {out_path!r}: {exc}") from None
 
 
+def _shape(cfg: dict) -> dict:
+    """The PacketSpec keywords that the sigma, a and b flags set."""
+    return dict(sigma_g=float(cfg["sigma"]), a=float(cfg["a"]), b=float(cfg["b"]))
+
+
 def _packet_spec(cfg: dict) -> PacketSpec:
-    return PacketSpec(
-        Z=_single(cfg["Z"], "Z"),
-        N=_single(cfg["N"], "N"),
-        sigma_g=float(cfg["sigma"]),
-        a=float(cfg["a"]),
-        b=float(cfg["b"]),
-    )
+    return PacketSpec(Z=_single(cfg["Z"], "Z"), N=_single(cfg["N"], "N"), **_shape(cfg))
 
 
 def cmd_timescales(cfg: dict) -> tuple[dict, list[str], Columns]:
@@ -319,12 +321,10 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], Columns]:
 
 def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], Columns]:
     z_values, n_values = _sweep(cfg)
-    sigma_g, a, b = float(cfg["sigma"]), float(cfg["a"]), float(cfg["b"])
+    shape = _shape(cfg)
     # Z-major and lazy: _sweep_tables computes one charge's shell rows at a
     # time, and yields the packets' tables in the order of specs.
-    specs = (
-        PacketSpec(Z=Z, N=N, sigma_g=sigma_g, a=a, b=b) for Z in z_values for N in n_values
-    )
+    specs = (PacketSpec(Z=Z, N=N, **shape) for Z in z_values for N in n_values)
     norms = np.empty((3, len(z_values) * len(n_values)))
     for i, tables in enumerate(_sweep_tables(specs)):
         norm = small_norm(tables)
@@ -349,9 +349,9 @@ _COMMANDS = {
 _FLAGS = {
     "Z": dict(help="nuclear charge, or START:STOP[:STEP] where sweepable"),
     "N": dict(help="mean principal quantum number, or a range where sweepable"),
-    "sigma": dict(type=float, default=2.0, help="Gaussian width of |w_n|^2"),
-    "a": dict(type=float, default=math.sqrt(0.5), help="spin-up amplitude"),
-    "b": dict(type=float, default=math.sqrt(0.5), help="spin-down amplitude"),
+    "sigma": dict(type=float, default=PacketSpec.sigma_g, help="Gaussian width of |w_n|^2"),
+    "a": dict(type=float, default=PacketSpec.a, help="spin-up amplitude"),
+    "b": dict(type=float, default=PacketSpec.b, help="spin-down amplitude"),
     "tmin": dict(type=float, default=0.0, help="series start time in --unit"),
     "tmax": dict(type=float, default=10.0, help="series end time in --unit"),
     "samples": dict(type=int, default=2000, help="number of time samples"),
@@ -423,7 +423,7 @@ def main(argv=None) -> int:
         }
         manifest.update(extra)
         _write_csv(cfg["out"], manifest, header, columns)
-    except (CliError, SupercriticalChargeError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

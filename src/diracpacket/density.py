@@ -161,8 +161,7 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
     t = _single_time(t)
 
     spec = tables.spec
-    xi = spec.Z * spec.constants.alpha
-    r_n = spec.N * spec.N / xi
+    r_n = spec.N * spec.N / spec.xi
     half = grid.extent * r_n
     res = grid.resolution
     axis = np.linspace(-half, half, res)

@@ -52,9 +52,10 @@ evaluate without intermediate overflow.
 The levels, radial data and overlaps are computed by kernels over NumPy
 arrays of states (_levels, _radial, _overlap, and _norm for a state with
 itself, whose log-Gamma terms cancel analytically).  This module owns the
-circular shell layout: only _shells labels a shell's two partners, and
-_window_rows, _shell_radial and _shell_splittings hand the packet module
-whole shells.
+circular shell layout: only _shells labels a shell's two partners and
+only _shell_coupling checks that a range of shells binds them (returning
+xi), and _window_rows, _shell_radial and _shell_splittings hand the
+packet module whole shells.
 state_from_kappa, overlap_closed_form and the energies call the kernels
 with one row, so each formula has one home.  Every transcendental goes
 through math one element at a time, which makes a result independent of
@@ -169,8 +170,8 @@ def _shells(xi, n) -> tuple[_Levels, np.ndarray]:
     """Partner levels of the shells n at couplings xi, and their splittings E+ - E-.
 
     The rows are the j+ partners (n' = 0, kappa = -n), then the j- partners
-    (n' = 1, kappa = n - 1); no other code writes these labels.  For the
-    splitting see fine_splitting.
+    (n' = 1, kappa = n - 1); no other code but _shell_coupling, which checks
+    them, writes these labels.  For the splitting see fine_splitting.
     """
     n = np.asarray(n)
     count = len(n)
@@ -182,13 +183,22 @@ def _shells(xi, n) -> tuple[_Levels, np.ndarray]:
     return level, 2.0 * xi2 * xi2 / (denominator * (plus.energy + minus.energy))
 
 
+def _shell_coupling(Z: int, lo: int, hi: int, constants: PhysicalConstants) -> float:
+    """xi = Z alpha, after checking that every partner of the shells lo..hi is bound.
+
+    The j- partner of lo has the smallest |kappa| and the j+ partner of hi
+    the largest n, so those two are checked for all.
+    """
+    _coupling(Z, 1, int(lo) - 1, constants)
+    return _coupling(Z, 0, -int(hi), constants)
+
+
 def _shell_splittings(Z, N, constants: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
     """xi and E+ - E- at the points (Z[i], N[i]); an error names the first bad point."""
     xi = []
     for z, shell in zip(Z, N):
         _require_int("N", shell, 2)
-        xi.append(_coupling(z, 0, -int(shell), constants))
-        _coupling(z, 1, int(shell) - 1, constants)
+        xi.append(_shell_coupling(z, shell, shell, constants))
     xi = np.array(xi)
     return xi, _shells(xi, N)[1]
 

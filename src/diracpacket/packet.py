@@ -44,11 +44,12 @@ matrix product built from S (Q + B) exponentials, each from its own
 argument, in place of K S of them.
 
 dirac_coulomb owns how a shell maps to its two partner states:
-build_tables and the sweep's _sweep_tables take the binding energies,
-splittings and radial integrals from one _window_rows call per run of
-windows of one charge and form only the coefficients here, and timescales
-takes its splittings from _shell_splittings.  The
-density's radial data of the window's partners (PacketTables.rows, from
+PacketSpec checks its window with _shell_coupling and keeps the xi it
+returns, build_tables and the sweep's _sweep_tables take the binding
+energies, splittings and radial integrals from one _window_rows call per
+run of windows of one xi and form only the coefficients here, and
+timescales takes its splittings from _shell_splittings.  The density's
+radial data of the window's partners (PacketTables.rows, from
 _shell_radial) and its ket table (PacketTables.kets) are arrays built on
 first read; no CircularState is made for a packet.  timescales evaluates
 its Taylor jets for many (Z, N) points at once.
@@ -59,16 +60,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
-    _coupling,
     _each,
     _Radial,
     _require_int,
+    _shell_coupling,
     _shell_radial,
     _shell_splittings,
     _window_rows,
@@ -78,7 +79,8 @@ from .dirac_coulomb import (
     overlap_set,
 )
 
-_SQRT_HALF = math.sqrt(0.5)
+# The display units of a time, in the order of TimeScales.unit_scale's scales.
+_TIME_UNITS = ("natural", "kepler", "tls", "seconds")
 
 # Most shells per window (sigma_g = 100 with the default window); see README.
 _MAX_SHELLS = 1001
@@ -98,16 +100,19 @@ class PacketSpec:
     wide enough that the clipped Gaussian tails carry < 1e-10 of the
     weight.  The lower clamp at 2 keeps every shell's j_minus partner in
     existence (l = n - 1 >= 1).  A window holds at most 1,001 shells, and
-    none above n = 100,000.
+    none above n = 100,000.  xi = Z alpha is derived, not passed: the check
+    that every partner of the window is bound returns it, and the tables,
+    sweeps and density read it here.
     """
 
     Z: int
     N: int
     sigma_g: float = 2.0
-    a: float = _SQRT_HALF
-    b: float = _SQRT_HALF
+    a: float = math.sqrt(0.5)
+    b: float = math.sqrt(0.5)
     window: tuple[int, int] | None = None
     constants: PhysicalConstants = DEFAULT_CONSTANTS
+    xi: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_int("N", self.N, 2)
@@ -143,11 +148,7 @@ class PacketSpec:
             raise ValueError(
                 f"window {self.window!r} does not contain the centroid N = {self.N}"
             )
-        # The first shell's j_minus partner has the window's smallest |kappa|
-        # and the last shell's j_plus partner its largest n, so checking the
-        # two checks the charge and every state of the window.
-        _coupling(self.Z, 1, n_min - 1, self.constants)
-        _coupling(self.Z, 0, -n_max, self.constants)
+        object.__setattr__(self, "xi", _shell_coupling(self.Z, n_min, n_max, self.constants))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +221,7 @@ class PacketTables:
     @functools.cached_property
     def rows(self) -> _Radial:
         """Radial data of the window's partners: the j+ rows, then the j- rows."""
-        xi = _coupling(self.spec.Z, 1, int(self.weights.n[0]) - 1, self.spec.constants)
-        return _shell_radial(xi, self.weights.n)
+        return _shell_radial(self.spec.xi, self.weights.n)
 
     @functools.cached_property
     def kets(self) -> _KetTable:
@@ -312,19 +312,19 @@ def build_tables(
 def _sweep_tables(specs, nonrelativistic_radial: bool = False):
     """Yield build_tables(spec) for each of specs, in order.
 
-    A row of _window_rows depends only on the charge and its shell, so
-    consecutive specs of one charge (equal Z and constants) share theirs:
-    their windows, sorted, merge into runs of windows that overlap or
-    touch, _window_rows evaluates each run once, and each spec takes the
-    slice of its run at its window (F' the slice ending two shells early),
-    bit for bit the rows of its own window.  A sparse sweep evaluates its
-    windows' shells only, not the span between them.  Only one charge's
-    rows are alive at a time; seeing where a charge ends draws the first
-    spec of the next one.  A run spans at most _MAX_SHELLS shells, as one
-    window may, and a charge's specs are taken _MAX_SHELLS at a time, so a
-    long sweep of one charge holds no more than a sweep over many.
+    A row of _window_rows depends only on xi and its shell, so consecutive
+    specs of one coupling (equal spec.xi) share theirs: their windows,
+    sorted, merge into runs of windows that overlap or touch, _window_rows
+    evaluates each run once, and each spec takes the slice of its run at
+    its window (F' the slice ending two shells early), bit for bit the rows
+    of its own window.  A sparse sweep evaluates its windows' shells only,
+    not the span between them.  Only one coupling's rows are alive at a
+    time; seeing where a coupling ends draws the first spec of the next
+    one.  A run spans at most _MAX_SHELLS shells, as one window may, and a
+    coupling's specs are taken _MAX_SHELLS at a time, so a long sweep of
+    one charge holds no more than a sweep over many.
     """
-    for _, charge in itertools.groupby(specs, key=lambda spec: (spec.Z, spec.constants)):
+    for xi, charge in itertools.groupby(specs, key=lambda spec: spec.xi):
         while group := list(itertools.islice(charge, _MAX_SHELLS)):
             runs: list[list[int]] = []
             run_of = {}
@@ -333,11 +333,9 @@ def _sweep_tables(specs, nonrelativistic_radial: bool = False):
                     runs.append([lo, hi])
                 runs[-1][1] = max(runs[-1][1], hi)
                 run_of[lo, hi] = len(runs) - 1
-            rows = []
-            for lo, hi in runs:
-                # PacketSpec ran the check that _coupling repeats.
-                xi = _coupling(group[0].Z, 1, lo - 1, group[0].constants)
-                rows.append(_window_rows(xi, np.arange(lo, hi + 1), nonrelativistic_radial))
+            rows = [
+                _window_rows(xi, np.arange(lo, hi + 1), nonrelativistic_radial) for lo, hi in runs
+            ]
             for spec in group:
                 run = run_of[spec.window]
                 first = spec.window[0] - runs[run][0]
@@ -625,8 +623,6 @@ class _Jet:
         return _Jet(c)
 
     def __sub__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.c - other.c)
         c = self.c.copy()
         c[:, 0] -= other
         return _Jet(c)
@@ -701,17 +697,10 @@ class TimeScales:
 
     def unit_scale(self, unit: str) -> float:
         """Natural-unit duration of one step of the named display unit."""
-        if unit == "natural":
-            return 1.0
-        if unit == "kepler":
-            return self.t_cl
-        if unit == "tls":
-            return self.t_ls
-        if unit == "seconds":
-            return 1.0 / self.constants.compton_time_seconds
-        raise ValueError(
-            f"unknown time unit {unit!r}; expected natural, kepler, tls, or seconds"
-        )
+        if unit not in _TIME_UNITS:
+            raise ValueError(f"unknown time unit {unit!r}; expected one of {_TIME_UNITS}")
+        scales = (1.0, self.t_cl, self.t_ls, 1.0 / self.constants.compton_time_seconds)
+        return scales[_TIME_UNITS.index(unit)]
 
 
 def timescales(

@@ -4,7 +4,9 @@ Everything runs in-process through ``cli.main`` so exit codes, stdout,
 stderr, and written files are all observable without spawning a shell.
 """
 
+import contextlib
 import gc
+import io
 import json
 import math
 import re
@@ -236,7 +238,11 @@ def test_manifest_of_another_subcommand_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "first_line", ["# 5", "# [1]", '# "autocorr"', "# {bad", "[1, 2]", b"\xff\xfe{}"]
+    "first_line",
+    [
+        "# 5", "# [1]", '# "autocorr"', "# {bad", "[1, 2]", b"\xff\xfe{}",
+        '# {"command": "autocorr", "params": [1]}',
+    ],
 )
 def test_config_that_is_not_a_json_object_names_the_file(tmp_path, capsys, first_line):
     config = tmp_path / "odd.csv"
@@ -309,6 +315,17 @@ def test_bad_unit_in_config_rejected(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ failure modes
+
+
+def test_stdout_without_a_buffer_gets_the_text_of_the_file(tmp_path):
+    # 6,960 rows: more than one chunk of the writer.
+    argv = ["timescales", "--Z", "1:40", "--N", "2:30"]
+    target = tmp_path / "scales.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == target.read_bytes().decode("ascii")
 
 
 def test_unwritable_output_reports_and_exits(tmp_path, capsys):
@@ -391,8 +408,13 @@ def test_parameter_preconditions(capsys):
     assert rc == 2 and "Z >= 1" in err
     rc, _, err = run_cli(["smallnorm", "--Z", "92", "--N", "20", "--sigma", "1e308"], capsys)
     assert rc == 2 and "sigma_g" in err and "Traceback" not in err
-    # Size limits, each checked before its arrays are allocated.
+    # Missing and malformed inputs, and size limits, each checked before
+    # its arrays are allocated.
     for argv, word in [
+        (["autocorr", "--Z", "92"], "N is required"),
+        (["spin", "--Z", "92", "--N", "4", "--tmin", "3", "--tmax", "3"], "tmax > tmin"),
+        (["autocorr", "--Z", "92", "--N", "4", "--tmin", "inf"], "tmax > tmin"),
+        (["smallnorm", "--Z", "1:2:3:4", "--N", "10"], "START:STOP[:STEP]"),
         (["smallnorm", "--Z", "92", "--N", "20", "--sigma", "1e9"], "1001 shells"),
         (["density", "--Z", "92", "--N", "20", "--grid", "100000"], "2048"),
         (["autocorr", "--Z", "92", "--N", "20", "--samples", "100000000"], "samples"),

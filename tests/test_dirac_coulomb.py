@@ -97,6 +97,19 @@ def test_binding_energy_bohr_limit():
         assert got == pytest.approx(-1e-12 / (2.0 * n * n), rel=1e-11)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"alpha": 0.0}, {"alpha": 0.01}, {"alpha": math.nan},
+        {"compton_time_seconds": 0.0}, {"compton_time_seconds": math.inf},
+    ],
+)
+def test_physical_constants_reject_a_units_mistake(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        PhysicalConstants(**kwargs)
+
+
 def test_energy_ordering_j_plus_above_j_minus():
     """E(j+) >= E(j-), strictly whenever a double can resolve the gap.
 
@@ -360,6 +373,8 @@ def test_eval_radial_domains():
         eval_radial(st, -1.0)
     with pytest.raises(ValueError):
         eval_radial(st, np.array([1.0, math.inf]))
+    with pytest.raises(ValueError, match="at least one radius"):
+        eval_radial(st, np.array([]))
     # huge radii underflow to zero instead of raising
     g, f = eval_radial(st, 1e9)
     assert g == 0.0 and f == 0.0
@@ -376,6 +391,8 @@ def test_overlap_input_validation():
         overlap_closed_form(a, a, "gf")
     with pytest.raises(ValueError):
         overlap_quadrature(a, a, "gf")
+    with pytest.raises(ValueError, match="one orbital level"):
+        overlap_set(a, make_circular_state(92, 6, Branch.J_MINUS))
 
 
 def test_state_from_kappa_validation():

@@ -32,6 +32,7 @@ from diracpacket import (
     spin_expect,
     timescales,
 )
+from diracpacket import packet
 from diracpacket.packet import _sweep_tables, build_weights
 from oracles import autocorrelation_oracle, ket_states
 
@@ -81,6 +82,8 @@ def test_spec_validation():
         PacketSpec(Z=92, N=20, window=(2.5, 30))
     with pytest.raises(ValueError, match="integers"):
         PacketSpec(Z=92, N=20, window=(10, 30.5))
+    with pytest.raises(ValueError, match="empty shell window"):
+        PacketSpec(Z=92, N=20, window=(30, 10))
     with pytest.raises(ValueError, match="sigma_g"):
         PacketSpec(Z=92, N=20, sigma_g=1e308)  # 5 sigma_g overflows
     with pytest.raises(ValueError, match="Z >= 1"):
@@ -95,6 +98,15 @@ def test_spec_validation():
         PacketSpec(Z=92, N=20, window=(2, 1003))
     with pytest.raises(ValueError, match="1001 shells"):
         PacketSpec(Z=92, N=20, sigma_g=1e9)  # window (2, 5000000020)
+
+
+def test_spec_keeps_its_coupling_out_of_init_eq_and_repr():
+    weak = PhysicalConstants(alpha=1e-3)
+    spec = PacketSpec(Z=92, N=20, constants=weak)
+    assert spec.xi == 92 * 1e-3 == PacketSpec(Z=92, N=20, window=(2, 30), constants=weak).xi
+    assert spec == PacketSpec(Z=92, N=20, constants=weak) and "xi" not in repr(spec)
+    with pytest.raises(TypeError):
+        PacketSpec(Z=92, N=20, xi=0.5)
 
 
 def test_shell_number_limit():
@@ -197,6 +209,26 @@ def test_sweep_tables_stream_charge_by_charge():
     assert drawn == [(1, 10), (1, 20), (1, 30), (2, 10)]
     rest = list(sweep)
     assert [(t.spec.Z, t.spec.N) for t in first + rest] == drawn
+
+
+def test_sweep_tables_share_rows_between_charges_of_equal_coupling(monkeypatch):
+    # Z alpha is 0.008 for both charges, so one run of rows serves the two.
+    specs = [
+        PacketSpec(Z=2, N=10, constants=PhysicalConstants(alpha=0.004)),
+        PacketSpec(Z=4, N=10, constants=PhysicalConstants(alpha=0.002)),
+    ]
+    calls = []
+    window_rows = packet._window_rows
+
+    def recorded(xi, n, nonrelativistic_radial):
+        calls.append(xi)
+        return window_rows(xi, n, nonrelativistic_radial)
+
+    monkeypatch.setattr(packet, "_window_rows", recorded)
+    first, second = _sweep_tables(specs)
+    assert calls == [0.008]
+    for name in ("e_plus", "omega", "acf_minus", "k_coef", "norm3"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
 def test_tables_compare_and_hash_by_identity():
@@ -505,6 +537,15 @@ def test_timescale_kepler_reference():
     xi = 92.0 / 137.036
     assert ts.t_cl == pytest.approx(2.0 * math.pi * 40.0**3 / xi**2, rel=1e-14)
     assert ts.t_ls / ts.t_cl == pytest.approx(6920.728183966322, rel=1e-12)
+
+
+def test_unit_scales():
+    ts = timescales(92, 40)
+    assert ts.unit_scale("natural") == 1.0
+    assert (ts.unit_scale("kepler"), ts.unit_scale("tls")) == (ts.t_cl, ts.t_ls)
+    assert ts.unit_scale("seconds") == 1.0 / ts.constants.compton_time_seconds
+    with pytest.raises(ValueError, match="unknown time unit 'minutes'"):
+        ts.unit_scale("minutes")
 
 
 def test_timescale_nonrelativistic_ratios():

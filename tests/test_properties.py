@@ -55,6 +55,11 @@ def _spec(**kwargs) -> PacketSpec:
     sigma_g=st.floats(0.3, 4.0),
     theta=st.floats(0.0, 2.0 * math.pi),
 )
+# The corners of the domain, whatever the derandomized draw.
+@example(Z=1, N=2, sigma_g=0.3, theta=1.0)
+@example(Z=1, N=200, sigma_g=4.0, theta=1.0)
+@example(Z=137, N=2, sigma_g=4.0, theta=1.0)
+@example(Z=137, N=200, sigma_g=0.3, theta=1.0)
 def test_packet_invariants(Z, N, sigma_g, theta):
     spec = _spec(Z=Z, N=N, sigma_g=sigma_g, a=math.cos(theta), b=math.sin(theta))
     tables = build_tables(spec)
@@ -81,6 +86,11 @@ def test_packet_invariants(Z, N, sigma_g, theta):
 )
 # |A(0) - 1| was 1.05e-12 here while the same-state overlaps carried lgamma(c).
 @example(Z=3, N=165, shells=1, below=0)
+# The corners of the domain, whatever the derandomized draw.
+@example(Z=1, N=2, shells=4, below=0)
+@example(Z=1, N=200, shells=4, below=3)
+@example(Z=137, N=2, shells=4, below=0)
+@example(Z=137, N=200, shells=4, below=3)
 def test_cross_arrays_cover_orbitals_two_shells_apart(Z, N, shells, below):
     below = min(below, shells - 1)
     spec = _spec(Z=Z, N=N, window=(N - below, N - below + shells - 1))
