@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac_coulomb import _take, eval_radial
+from .dirac_coulomb import _require_int, _take, eval_radial
 from .packet import PacketTables, _as_time_array, _freeze
 from .specfun import legendre_norm, sph_harm
 
@@ -105,8 +105,9 @@ class PlaneGridSpec:
     """Square window on the equatorial plane theta = pi/2.
 
     extent is the half-width in units of the circular-orbit radius
-    r_N = N^2/(Z alpha); resolution is the number of nodes per axis,
-    16 to 2,048.
+    r_N = N^2/(Z alpha); resolution is the number of nodes per axis, an
+    integer from 16 to 2,048 (not 64.0).  density_grid checks that the
+    span 2 extent r_N, which depends on the packet, is a finite double.
     """
 
     extent: float = 1.6
@@ -117,23 +118,15 @@ class PlaneGridSpec:
         if not math.isfinite(extent) or extent <= 0.0:
             raise ValueError(f"extent must be finite and > 0, got {self.extent!r}")
         object.__setattr__(self, "extent", extent)
-        try:
-            resolution = int(self.resolution)
-        except (OverflowError, ValueError):  # inf and nan
-            resolution = 0  # fails the range check below
-        if resolution != self.resolution or not 16 <= resolution <= _MAX_RESOLUTION:
-            raise ValueError(
-                f"resolution must be an integer in [16, {_MAX_RESOLUTION}], "
-                f"got {self.resolution!r}"
-            )
-        object.__setattr__(self, "resolution", resolution)
+        _require_int("resolution", self.resolution, 16, _MAX_RESOLUTION)
 
 
 @dataclass(frozen=True)
 class DensityGrid:
     """Spin-resolved probability density on the equatorial plane.
 
-    x and y hold node coordinates in Compton lengths; spin_up[i, j] and
+    x and y hold node coordinates in Compton lengths (the window is
+    square, so they are one read-only array); spin_up[i, j] and
     spin_down[i, j] are the densities at (x[j], y[i]).  t is the sample
     time in natural units and r_n the circular-orbit radius used to scale
     the window.
@@ -163,8 +156,10 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
     spec = tables.spec
     r_n = spec.N * spec.N / spec.xi
     half = grid.extent * r_n
+    if not math.isfinite(2.0 * half):
+        raise ValueError(f"extent = {grid.extent!r} times r_N = {r_n!r} overflows a double")
     res = grid.resolution
-    axis = np.linspace(-half, half, res)
+    axis = _freeze(np.linspace(-half, half, res))
     # Nodes at (or numerically indistinguishable from) the origin sit on
     # the coordinate singularity of the radial profiles; nudge them one
     # part in 10^12 of the window off center.  The density there is many
@@ -210,8 +205,8 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
         spin_down[i0:i1] = abs2[1] + abs2[3]
 
     return DensityGrid(
-        x=_freeze(axis),
-        y=_freeze(axis.copy()),
+        x=axis,
+        y=axis,
         spin_up=_freeze(spin_up),
         spin_down=_freeze(spin_down),
         t=t,

@@ -99,9 +99,13 @@ class SupercriticalChargeError(ValueError):
         self.kappa = kappa
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    """Reject a bool, anything that is not an integer, and a value below minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject a bool, anything else that is not an int or np.integer (64.0 too), and
+    a value below minimum or above maximum: the one rule of every integer input."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if maximum is not None and not (integer and minimum <= value <= maximum):
+        raise ValueError(f"require {minimum} <= {name} <= {maximum}, got {value!r}")
+    if not (integer and value >= minimum):
         raise ValueError(f"require {name} >= {minimum} (an integer), got {value!r}")
 
 

@@ -475,6 +475,13 @@ def _as_time_array(t):
     return arr
 
 
+def _shaped(arr: np.ndarray, *series: np.ndarray) -> tuple:
+    """Flat series in the shape of the times arr; Python numbers for a single time."""
+    if arr.ndim == 0:
+        return tuple(values.item() for values in series)
+    return tuple(values.reshape(arr.shape) for values in series)
+
+
 def _phase_sum(freqs, coefs, t0: float, dt: float, count: int) -> np.ndarray:
     """sum_n coefs[n] exp(i freqs[n] (t0 + k dt)) for k = 0 .. count - 1.
 
@@ -510,9 +517,7 @@ def autocorrelation(tables: PacketTables, t):
     flat = np.atleast_1d(arr)
     out = np.exp(np.multiply.outer(flat, -1j * tables.e_plus)) @ tables.acf_plus
     out += np.exp(np.multiply.outer(flat, -1j * tables.e_minus)) @ tables.acf_minus
-    if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+    return _shaped(arr, out)[0]
 
 
 def component_norms(tables: PacketTables, t):
@@ -529,10 +534,7 @@ def component_norms(tables: PacketTables, t):
     n2 = float(np.sum(tables.norm2_const)) + ph @ tables.norm2_cos
     n3 = np.full(flat.shape, float(np.sum(tables.norm3)))
     n4 = np.full(flat.shape, float(np.sum(tables.norm4)))
-    if arr.ndim == 0:
-        return float(n1[0]), float(n2[0]), float(n3[0]), float(n4[0])
-    shape = arr.shape
-    return (n1.reshape(shape), n2.reshape(shape), n3.reshape(shape), n4.reshape(shape))
+    return _shaped(arr, n1, n2, n3, n4)
 
 
 def spin_expect(tables: PacketTables, t, include_delta: bool = True):
@@ -567,10 +569,7 @@ def spin_expect(tables: PacketTables, t, include_delta: bool = True):
         phase = np.multiply.outer(flat, tables.omega_tilde)
         sx = sx + np.cos(phase) @ tables.k_coef
         sy = sy + np.sin(phase) @ tables.k_coef
-    if arr.ndim == 0:
-        return float(sx[0]), float(sy[0]), float(sz[0])
-    shape = arr.shape
-    return sx.reshape(shape), sy.reshape(shape), sz.reshape(shape)
+    return _shaped(arr, sx, sy, sz)
 
 
 @dataclass(frozen=True)
@@ -739,8 +738,7 @@ def _timescale_rows(
 
     The points are checked in order, so an error names the first bad one.
     """
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or not 0 < k_max < 7:
-        raise ValueError(f"require 1 <= k_max <= 6, got {k_max!r}")
+    _require_int("k_max", k_max, 1, 6)
     xi, splitting = _shell_splittings(Z, N, constants)
     n = np.asarray(N, dtype=float)
     t_ls = 2.0 * math.pi / splitting

@@ -312,6 +312,10 @@ def test_bad_unit_in_config_rejected(tmp_path, capsys):
     rc, _, err = run_cli(["autocorr", "--config", str(config)], capsys)
     assert rc == 2
     assert "error:" in err and "unit" in err
+    # The flag's own choices refuse it before any config is read.
+    with pytest.raises(SystemExit) as exc:
+        main(["autocorr", "--Z", "92", "--N", "4", "--unit", "minutes"])
+    assert exc.value.code == 2 and "--unit" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ failure modes
@@ -422,6 +426,14 @@ def test_parameter_preconditions(capsys):
         (["smallnorm", "--Z", "1:100", "--N", "2:1002"], "100000"),
         (["smallnorm", "--Z", "5", "--N", "1" + "0" * 30], "require n <= 100000"),
         (["timescales", "--Z", "5", "--N", "1" + "0" * 80], "require n <= 100000"),
+        # The span 2 extent r_N past the double range: no NumPy warning first.
+        (["density", "--Z", "92", "--N", "20", "--extent", "2e305"], "extent"),
+        (["density", "--Z", "137", "--N", "2", "--extent", "4e307"], "extent"),
+        # Times and sample counts are TimeGrid's checks; the command line
+        # keeps only tmax > tmin, which a NaN fails.
+        (["autocorr", "--Z", "92", "--N", "4", "--tmax", "inf"], "times must be finite"),
+        (["autocorr", "--Z", "92", "--N", "4", "--tmin", "nan"], "tmax > tmin"),
+        (["spin", "--Z", "92", "--N", "4", "--samples", "0"], "require samples >= 2"),
     ]:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 2 and out == "" and word in err and "Traceback" not in err

@@ -210,6 +210,7 @@ def test_grid_geometry(tables_u92_n20):
     r_n = 400.0 / XI_92
     assert grid.r_n == pytest.approx(r_n, rel=1e-14)
     assert grid.x.shape == (32,) and grid.y.shape == (32,)
+    assert grid.y is grid.x and not grid.x.flags.writeable
     assert grid.x[0] == pytest.approx(-1.6 * r_n)
     assert grid.x[-1] == pytest.approx(1.6 * r_n)
     assert np.allclose(grid.x, -grid.x[::-1])

@@ -20,7 +20,9 @@ from diracpacket import (
     Branch,
     PacketSpec,
     PhysicalConstants,
+    PlaneGridSpec,
     SupercriticalChargeError,
+    TimeGrid,
     autocorrelation,
     build_tables,
     component_norms,
@@ -311,6 +313,30 @@ def test_autocorrelation_against_quadrature_oracle(tables_u92_n4):
     fast = autocorrelation(tables_u92_n4, times)
     slow = autocorrelation_oracle(tables_u92_n4, times)
     assert float(np.max(np.abs(fast - slow))) < 1e-10
+
+
+@pytest.mark.parametrize("observable", [autocorrelation, component_norms, spin_expect])
+def test_observables_take_the_shape_of_the_times(tables_u92_n20, observable):
+    def series(t):
+        out = observable(tables_u92_n20, t)
+        return out if isinstance(out, tuple) else (out,)
+
+    number = complex if observable is autocorrelation else float
+    t_ls = 2.0 * math.pi / fine_splitting(92, 20)
+    times = np.array([[0.0, 0.37, 1.3], [2.9, 7.1, 10.0]]) * t_ls
+    table = series(times)
+    assert all(isinstance(v, np.ndarray) and v.shape == (2, 3) for v in table)
+    for index in np.ndindex(times.shape):
+        at_float = series(float(times[index]))
+        at_0d = series(np.array(times[index]))
+        for x, y, values in zip(at_float, at_0d, table, strict=True):
+            assert type(x) is number and type(y) is number
+            assert repr(x) == repr(y)
+            # The one-time and many-time matrix products sum in different
+            # orders (BLAS dot against gemv), so only the last bits differ.
+            assert abs(x - values[index]) < 1e-15
+    grid = series(TimeGrid(0.0, 10.0, 7, t_ls))
+    assert all(isinstance(v, np.ndarray) and v.shape == (7,) for v in grid)
 
 
 def test_rejects_nonfinite_times(tables_u92_n4):
@@ -636,6 +662,23 @@ def test_timescale_validation():
         timescales(True, 5)
     with pytest.raises(ValueError, match="k_max"):
         timescales(92, 20, k_max=True)
+
+
+@pytest.mark.parametrize(
+    "name, build, good, out_of_range",
+    [
+        ("N", lambda v: PacketSpec(Z=92, N=v), 20, (1,)),
+        ("samples", lambda v: TimeGrid(0.0, 1.0, v), 3, (1,)),
+        ("k_max", lambda v: timescales(92, 20, k_max=v), 4, (0, 7)),
+        ("resolution", lambda v: PlaneGridSpec(resolution=v), 64, (15, 2049)),
+        ("n", lambda v: make_circular_state(92, v, Branch.J_PLUS), 20, (0,)),
+    ],
+)
+def test_integer_inputs_share_one_rule(name, build, good, out_of_range):
+    build(np.int64(good))
+    for bad in (True, 64.0, *out_of_range):
+        with pytest.raises(ValueError, match=rf"require .*\b{name}\b.*, got {bad!r}$"):
+            build(bad)
 
 
 # ------------------------------------------------- nonrelativistic tables
