@@ -7,7 +7,12 @@ Each subcommand writes the same bytes to ``--out`` as to stdout.
 """
 
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,22 +92,94 @@ def test_forced_fallback_gives_the_same_bytes(monkeypatch):
     assert _written(x) == expected
 
 
-def test_most_values_are_certified_where_long_double_is_wider():
+def test_most_values_are_certified():
     rng = np.random.default_rng(17)
-    _, layout = _csv_format._float_slots(rng.normal(size=10_000))
-    certified = np.mean(layout < _csv_format._TEXT_LAYOUT)
-    if np.finfo(np.longdouble).nmant >= 63:
-        assert certified > 0.9
-    else:
-        assert certified == 0.0
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    samples = {
+        "normal": rng.normal(size=10_000),
+        "uniform": rng.random(10_000),
+        "random bits": bits[np.isfinite(bits)],
+    }
+    for name, x in samples.items():
+        _, layout = _csv_format._float_slots(x)
+        assert np.mean(layout < _csv_format._TEXT_LAYOUT) >= 0.99, name
 
 
-def test_powers_of_ten_are_nearest_long_doubles():
-    for e, power in zip(range(_csv_format._E_MIN, _csv_format._E_MAX + 1), _csv_format._POW10):
+def test_powers_of_ten_are_nearest_double_pairs():
+    tables = _csv_format._tables()
+    exponents = range(_csv_format._E_MIN, _csv_format._E_MAX + 1)
+    for e, hi, lo, high, low in zip(
+        exponents, tables.hi, tables.lo, tables.hi_high, tables.hi_low, strict=True
+    ):
         exact = Fraction(10) ** (16 - e)
-        error = abs(Fraction(*power.as_integer_ratio()) - exact)
-        for neighbour in (np.nextafter(power, np.longdouble(0)), np.nextafter(power, np.inf)):
-            assert error <= abs(Fraction(*neighbour.as_integer_ratio()) - exact), e
+        if e < _csv_format._TINY_E:
+            exact /= 2**_csv_format._TINY_SHIFT
+        for value, target in ((hi, exact), (lo, exact - Fraction(hi))):
+            error = abs(Fraction(value) - target)
+            for neighbour in (np.nextafter(value, -np.inf), np.nextafter(value, np.inf)):
+                assert error <= abs(Fraction(neighbour) - target), e
+        # The Veltkamp halves of hi, 26 significant bits each.
+        assert high + low == hi, e
+        for half in (high, low):
+            assert _significant_bits(half) <= 26, e
+
+
+def _significant_bits(value: float) -> int:
+    numerator = abs(value).as_integer_ratio()[0]
+    return (numerator // (numerator & -numerator)).bit_length() if numerator else 0
+
+
+def _digits_and_exponent(value: float) -> tuple[int, int]:
+    """Significant digits and decimal exponent that %.17g prints for value."""
+    mantissa, exponent = ("%.16e" % value).split("e")
+    return len(mantissa.lstrip("-").replace(".", "").rstrip("0")), int(exponent)
+
+
+def _value_printing(nd: int, e: int) -> float | None:
+    """A double that %.17g prints with nd significant digits and exponent e,
+    found next to decimals of nd digits, or None."""
+    patterns = (lead + "".join(pair) * 8 for lead in "123456789" for pair in product("123456789", repeat=2))
+    for digits in dict.fromkeys(pattern[:nd] for pattern in patterns):
+        value = float(f"{digits[0]}.{digits[1:]}e{e}")
+        for candidate in (value, np.nextafter(value, np.inf), np.nextafter(value, 0.0)):
+            if _digits_and_exponent(candidate) == (nd, e):
+                return float(candidate)
+    return None
+
+
+def _layout_values() -> np.ndarray:
+    """Values of each sign, fixed-notation exponent -4..16 or 2- or 3-digit
+    exponent, and digit count 1..17: every float layout of the writer."""
+    values = []
+    for e in [*range(-4, 17), -5, -99, 17, 99, -100, -307, 100, 307]:
+        for nd in range(1, 18):
+            value = _value_printing(nd, e)
+            if value is not None:
+                values += [value, -value]
+    return np.array(values)
+
+
+def test_every_layout_matches_percent_format():
+    x = _layout_values()
+    _, layout = _csv_format._float_slots(x)
+    assert set(layout.tolist()) == set(range(_csv_format._TEXT_LAYOUT))
+    # x as a middle column (',') and as the last (CRLF).
+    assert _written(x, x) == _expected(x, x)
+
+
+def test_import_builds_no_tables():
+    code = (
+        "import diracpacket.cli, diracpacket._csv_format as f; "
+        "print(f._tables.cache_info().currsize)"
+    )
+    src = str(Path(_csv_format.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["0"]
+    _written(np.zeros(1))
+    assert _csv_format._tables.cache_info().currsize == 1
 
 
 def test_mixed_columns_match_the_row_template():
