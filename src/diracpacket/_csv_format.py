@@ -81,9 +81,10 @@ class _Tables(NamedTuple):
     base: np.ndarray  # layout of e with one digit, positive
     tail: np.ndarray  # tail word of e
     head: np.ndarray  # head word of the first digit
-    group: np.ndarray  # 4 ASCII digits of 0..9999, as uint32
+    group: np.ndarray  # 4 ASCII digits of 0..9999 in bytes 0..3 of a word
+    group_high: np.ndarray  # the same in bytes 4..7
     zeros: np.ndarray  # trailing zeros of a 4-digit group (4 for 0)
-    shift: np.ndarray  # (16, 4): keep-low and shifted-byte masks of the two digit words
+    shift: np.ndarray  # (4, 16): bytes below and above the '.' in the two digit words
     keep: np.ndarray  # keep-mask words (layout * 2 + last column, 4)
 
 
@@ -109,16 +110,17 @@ def _ascii(*chars) -> np.ndarray:
 
 
 def _words(table: np.ndarray) -> np.ndarray:
-    """A (..., 8k) uint8 table as (..., k) native 64-bit words."""
+    """A (..., 8k) uint8 table as (..., k) little-endian 64-bit words."""
     return np.ascontiguousarray(table).view(_WORD)
 
 
 def _group_words() -> tuple[np.ndarray, np.ndarray]:
-    """4 ASCII digits of each group 0..9999 as uint32, and its trailing zeros."""
+    """Word of each 4-digit group 0..9999 (its ASCII digits in bytes 0..3), and its trailing zeros."""
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
-    text = np.ascontiguousarray(digits + ord("0"))
+    text = np.zeros((len(digits), 8), np.uint8)
+    text[:, :4] = digits + ord("0")
     zeros = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
-    return text.view("<u4")[:, 0], zeros
+    return _words(text)[:, 0], zeros
 
 
 def _head_words() -> np.ndarray:
@@ -143,11 +145,11 @@ def _shift_masks() -> np.ndarray:
     With 1 <= e <= 15 the '.' takes digit byte e (slot byte 8 + e) and the
     digits from there on move up one byte; e = 0 keeps every byte.
     """
-    masks = np.zeros((16, 4), _WORD)
+    masks = np.zeros((4, 16), _WORD)
     for e in range(16):
         low = (1 << 8 * e) - 1 if e else 2**128 - 1
         high = (~low << 8) & (2**128 - 1)
-        masks[e] = [low & _ALL, low >> 64, high & _ALL, high >> 64]
+        masks[:, e] = [low & _ALL, low >> 64, high & _ALL, high >> 64]
     return masks
 
 
@@ -196,7 +198,7 @@ def _tables() -> _Tables:
     group, zeros = _group_words()
     return _Tables(
         hi, lo, hi_high, hi_low, base.astype(np.intp), _tail_words(e), _head_words(),
-        group, zeros.astype(np.intp), _shift_masks(), _keep_masks(),
+        group, group << np.uint64(32), zeros.astype(np.intp), _shift_masks(), _keep_masks(),
     )
 
 
@@ -294,23 +296,22 @@ def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top -= first * 10**8
     g1, g3 = top // 10**4, rest // 10**4
     g2, g4 = top - g1 * 10**4, rest - g3 * 10**4
-    words = np.empty((x.size, _SLOT // 8), _WORD)
-    tables.head.take(first, out=words[:, 0])
-    quarters = words.view(np.uint32)
-    for j, g in enumerate((g1, g2, g3, g4)):
-        tables.group.take(g, out=quarters[:, 2 + j])
-    tables.tail.take(i, out=words[:, 3])
+    group, group_high = tables.group, tables.group_high
+    head, tail = tables.head.take(first), tables.tail.take(i)
+    digits = group.take(g1) | group_high.take(g2), group.take(g3) | group_high.take(g4)
 
-    # Fixed notation with 1 <= e <= 15: the '.' after digit e + 1.
+    # Fixed notation with 1 <= e <= 15: the '.' after digit e + 1, and the
+    # bytes from there on one place up (digit 17 into the tail).
     dotted = np.flatnonzero((e >= 1) & (e <= 15))
     if dotted.size:
-        low_mask, high_mask = np.hsplit(tables.shift.take(e[dotted], axis=0), 2)
-        digits = words[dotted, 1:3]
-        moved = digits << np.uint64(8)
-        moved[:, 1] |= digits[:, 0] >> np.uint64(56)
-        dot = ~(low_mask | high_mask) & np.uint64(0x2E2E2E2E2E2E2E2E)
-        words[dotted, 1:3] = (digits & low_mask) | (moved & high_mask) | dot
-        words[dotted, 3] |= digits[:, 1] >> np.uint64(56)
+        low1, low2, high1, high2 = tables.shift.take(e[dotted], axis=1)
+        a, b = digits[0][dotted], digits[1][dotted]
+        eight, dots = np.uint64(8), np.uint64(0x2E2E2E2E2E2E2E2E)
+        digits[0][dotted] = (a & low1) | ((a << eight) & high1) | (~(low1 | high1) & dots)
+        b_up = (b << eight) | (a >> np.uint64(56))
+        digits[1][dotted] = (b & low2) | (b_up & high2) | (~(low2 | high2) & dots)
+        tail[dotted] |= b >> np.uint64(56)
+    words = np.stack([head, *digits, tail], axis=1, dtype=_WORD)
 
     # Significant digits less one, once the trailing zeros are stripped.
     zeros = tables.zeros.take(g4)
