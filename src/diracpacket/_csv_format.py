@@ -267,7 +267,8 @@ def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(magnitude, 2.0**_TINY_SHIFT, out=magnitude, where=e < _TINY_E)
     i = e - _E_MIN
 
-    # Dekker's product: p + err = magnitude * hi exactly.
+    # Dekker's product, p + err = magnitude * hi exactly: the mask keeps the top
+    # 27 bits of magnitude and hi's halves have 26, so each partial product is exact.
     hi = tables.hi.take(i)
     p = magnitude * hi
     high = (magnitude.view(np.uint64) & np.uint64(~(2**26 - 1) & (2**64 - 1))).view(np.float64)

@@ -204,6 +204,8 @@ def test_columns_must_be_one_dimensional_and_equal():
         Columns(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="longer than"):
         _written(np.array(["x" * 41]))
+    with pytest.raises(ValueError, match="NUL"):
+        _written(np.array(["a\0b"]))
 
 
 JOBS = [
