@@ -70,7 +70,6 @@ _TEXT_LAYOUT = 2 * _SIGNED
 # Slot words are little-endian on every platform, so that a shift by 8 bits
 # moves each byte one place along the text.
 _WORD = np.dtype("<u8")
-_ALL = 2**64 - 1
 
 
 class _Tables(NamedTuple):
@@ -149,7 +148,7 @@ def _shift_masks() -> np.ndarray:
     for e in range(16):
         low = (1 << 8 * e) - 1 if e else 2**128 - 1
         high = (~low << 8) & (2**128 - 1)
-        masks[:, e] = [low & _ALL, low >> 64, high & _ALL, high >> 64]
+        masks[:, e] = [low % 2**64, low >> 64, high % 2**64, high >> 64]
     return masks
 
 
