@@ -114,7 +114,7 @@ def _words(table: np.ndarray) -> np.ndarray:
 
 
 def _group_words() -> tuple[np.ndarray, np.ndarray]:
-    """Word of each 4-digit group 0..9999 (its ASCII digits in bytes 0..3), and its trailing zeros."""
+    """Word of each 4-digit group 0..9999 (ASCII digits in bytes 0..3), and its trailing zeros."""
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
     text = np.zeros((len(digits), 8), np.uint8)
     text[:, :4] = digits + ord("0")
@@ -130,7 +130,7 @@ def _head_words() -> np.ndarray:
 
 
 def _tail_words(e: np.ndarray) -> np.ndarray:
-    """Word of each exponent ('e', sign, three digits, ',', CR, LF); separators alone in fixed notation."""
+    """Word of each exponent: 'e', sign, three digits, ',', CR, LF (separators alone if fixed)."""
     text = np.tile(_ascii("e", "+", "0", "0", "0", ",", "\r", "\n"), (e.size, 1))
     text[e < 0, 1] = ord("-")
     text[:, 2:5] += (np.abs(e)[:, None] // np.array([100, 10, 1]) % 10).astype(np.uint8)

@@ -1,8 +1,9 @@
 """The column writer gives exactly the bytes of ``"%.17g" % v`` and ``str``.
 
 Every float64 is compared with ``FLOAT % v``: drawn floats (nan, inf and
-subnormals included), raw 64-bit patterns, a fixed edge list, and a run in
-which nothing is certified, so every value takes the per-value fallback.
+subnormals included), raw 64-bit patterns, a fixed edge list, a value in
+each of the writer's float layouts, and a run in which nothing is
+certified, so every value takes the per-value fallback.
 Each subcommand writes the same bytes to ``--out`` as to stdout.
 """
 
@@ -138,7 +139,8 @@ def _digits_and_exponent(value: float) -> tuple[int, int]:
 def _value_printing(nd: int, e: int) -> float | None:
     """A double that %.17g prints with nd significant digits and exponent e,
     found next to decimals of nd digits, or None."""
-    patterns = (lead + "".join(pair) * 8 for lead in "123456789" for pair in product("123456789", repeat=2))
+    pairs = ["".join(pair) for pair in product("123456789", repeat=2)]
+    patterns = (lead + pair * 8 for lead in "123456789" for pair in pairs)
     for digits in dict.fromkeys(pattern[:nd] for pattern in patterns):
         value = float(f"{digits[0]}.{digits[1:]}e{e}")
         for candidate in (value, np.nextafter(value, np.inf), np.nextafter(value, 0.0)):
