@@ -11,10 +11,13 @@ doubles only:
   10^-280 are first scaled by 2^200, and their powers of ten by 2^-200.
 * **Certify.**  r = p + rint(t) is the 17-digit significand that
   ``%.17g`` prints when |t - rint(t)| < _BOUND and 10^16 <= r < 10^17;
-  then e is its exponent too.  r = 10^16 also needs P >= 10^16 - 1/20,
-  since below that e is one too large and 10 P does not round up to 10^17.
-* **Fall back.**  Every other value (zeros, inf, nan, near-ties, an e off
-  by one) is formatted by ``FLOAT % v``.
+  then e is its exponent too.  For -6 <= e <= 16, 10^(16 - e) is a double,
+  so lo = 0 and t is exactly P - p; p >= 2^53 is even, so rint's ties to
+  even are those of ``%.17g``, and no bound is needed.  r = 10^16 also
+  needs P >= 10^16 - 1/20, since below that e is one too large and 10 P
+  does not round up to 10^17.
+* **Fall back.**  Every other value (zeros, inf, nan, near-ties where lo
+  is not 0, an e off by one) is formatted by ``FLOAT % v``.
 * **Assemble.**  Each value fills a 32-byte slot of four 64-bit words
   from lookup tables: a head ('-', "0.000" prefix, first digit, '.'); two
   words of 8 digits; a tail (exponent and separators).  In fixed notation
@@ -277,7 +280,8 @@ def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += high * hi_low
     t += low * hi_high
     t += low * hi_low
-    t += magnitude * tables.lo.take(i)
+    lo = tables.lo.take(i)
+    t += magnitude * lo
     rounded = np.rint(t)
     r = p.astype(np.int64) + rounded.astype(np.int64)
     # r = 10^16 (a power of ten) also needs P >= 10^16 - 1/20: below that
@@ -285,7 +289,9 @@ def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edge = np.flatnonzero(r == 10**16)
     below = (p[edge] - 1e16) + t[edge] <= -0.04
     t -= rounded
-    certified = finite & (np.abs(t) < _BOUND) & (r >= 10**16) & (r < 10**17)
+    # With lo = 0, t is exact: a tie is a true decimal tie, and rounds to even.
+    settled = (np.abs(t) < _BOUND) | (lo == 0.0)
+    certified = finite & settled & (r >= 10**16) & (r < 10**17)
     certified[edge[below]] = False
     np.copyto(r, 10**16, where=~certified)
 

@@ -40,7 +40,7 @@ import types
 import numpy as np
 
 from . import __version__
-from ._csv_format import Columns
+from ._csv_format import Columns, _tables
 from .constants import DEFAULT_CONSTANTS
 from .density import PlaneGridSpec, density_grid
 from .packet import (
@@ -114,7 +114,7 @@ def parse_range(text, name: str) -> list[int]:
 
 
 def _sweep(cfg: dict) -> tuple[list[int], list[int]]:
-    """The Z and N values of a sweep, at most _MAX_SWEEP (Z, N) points."""
+    """The Z and N of a sweep's points, Z-major, at most _MAX_SWEEP of them."""
     z_values = parse_range(cfg["Z"], "Z")
     n_values = parse_range(cfg["N"], "N")
     if len(z_values) * len(n_values) > _MAX_SWEEP:
@@ -122,7 +122,7 @@ def _sweep(cfg: dict) -> tuple[list[int], list[int]]:
             f"sweep of {len(z_values)} Z x {len(n_values)} N values has more "
             f"than {_MAX_SWEEP} points"
         )
-    return z_values, n_values
+    return [Z for Z in z_values for _ in n_values], n_values * len(z_values)
 
 
 def _single(text, name: str) -> int:
@@ -233,10 +233,8 @@ def _packet_spec(cfg: dict) -> PacketSpec:
 
 
 def cmd_timescales(cfg: dict) -> tuple[dict, list[str], Columns]:
-    z_values, n_values = _sweep(cfg)
+    z_points, n_points = _sweep(cfg)
     kmax = int(cfg["kmax"])
-    z_points = [Z for Z in z_values for _ in n_values]
-    n_points = n_values * len(z_values)
     t, t_ls, t_cl = _timescale_rows(z_points, n_points, kmax, DEFAULT_CONSTANTS, "j_plus")
     # One row per point and label: k = 1..kmax, then ls and cl.
     times = np.column_stack([t, t_ls, t_cl])
@@ -318,17 +316,15 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], Columns]:
 
 
 def cmd_smallnorm(cfg: dict) -> tuple[dict, list[str], Columns]:
-    z_values, n_values = _sweep(cfg)
+    z, n = _sweep(cfg)
     shape = _shape(cfg)
-    # Z-major and lazy: _sweep_tables computes one charge's shell rows at a
-    # time, and yields the packets' tables in the order of specs.
-    specs = (PacketSpec(Z=Z, N=N, **shape) for Z in z_values for N in n_values)
-    norms = np.empty((3, len(z_values) * len(n_values)))
+    # Lazy: _sweep_tables computes one charge's shell rows at a time, and
+    # yields the packets' tables in the order of specs.
+    specs = (PacketSpec(Z=Z, N=N, **shape) for Z, N in zip(z, n))
+    norms = np.empty((3, len(z)))
     for i, tables in enumerate(_sweep_tables(specs)):
         norm = small_norm(tables)
         norms[:, i] = norm.c3_norm, norm.c4_norm, norm.total
-    z = np.repeat(z_values, len(n_values))
-    n = np.tile(n_values, len(z_values))
     header = ["Z", "N", "c3_norm", "c4_norm", "total"]
     return {}, header, Columns(z, n, *norms)
 
@@ -406,6 +402,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
+        # The writer's tables are kept for the process.  Built here, below
+        # the command's arrays in the heap, they do not keep the heap from
+        # being trimmed when those arrays are freed after the write.
+        _tables()
         extra, header, columns = _COMMANDS[args.command](cfg)
         params = {}
         for key in _MANIFEST_KEYS[args.command]:

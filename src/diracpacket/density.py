@@ -24,6 +24,7 @@ elementwise operation chain, so repeated calls give bit-identical arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,13 +159,19 @@ def density_grid(tables: PacketTables, grid: PlaneGridSpec, t: float) -> Density
     half = grid.extent * r_n
     if not math.isfinite(2.0 * half):
         raise ValueError(f"extent = {grid.extent!r} times r_N = {r_n!r} overflows a double")
-    res = grid.resolution
-    axis = _freeze(np.linspace(-half, half, res))
     # Nodes at (or numerically indistinguishable from) the origin sit on
     # the coordinate singularity of the radial profiles; nudge them one
     # part in 10^12 of the window off center.  The density there is many
     # orders of magnitude below the packet's for every circular window.
+    # A normal floor keeps 2 lambda r_floor > 0 for every bound row.
     r_floor = half * 1e-12
+    if r_floor < sys.float_info.min:
+        raise ValueError(
+            f"extent = {grid.extent!r} times r_N = {r_n!r} is too small: "
+            f"1e-12 of it, the origin floor, is below the smallest normal double"
+        )
+    res = grid.resolution
+    axis = _freeze(np.linspace(-half, half, res))
 
     # One Legendre number per ket covers the whole plane; every ket has
     # m = l - 1, l or l + 1 with l >= 1, so m >= 0.

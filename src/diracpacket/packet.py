@@ -21,10 +21,10 @@ e(+/-) = exp(-i (E(+/-) - 1) t)):
                  + b Y_{l+1,l} / sqrt(2l+3) ] e+
 
 with s = sqrt(2l)/(2l+1).  All observables reduce to sums over l of the
-five same-l radial integrals (OverlapSet) plus the one cross-shell
-small-component integral F'_l = <f+(l)|f-(l+2)> that couples angular
-labels (l+1, l) two shells apart and produces the small corrections
-delta sigma_x, delta sigma_y at frequencies omega_tilde_l =
+five same-l radial integrals (the rows of _window_rows) plus the one
+cross-shell small-component integral F'_l = <f+(l)|f-(l+2)> that couples
+angular labels (l+1, l) two shells apart and produces the small
+corrections delta sigma_x, delta sigma_y at frequencies omega_tilde_l =
 E+(l) - E-(l+2).
 
 Phases run in the rest frame: every energy in the tables is a binding
@@ -187,8 +187,8 @@ class PacketTables:
       and of the spin series (s*); each already carries w_l^2 and the
       radial integrals, so an observable is a dot product against phase
       factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos, and
-      the sin(omega t) coefficient of <sigma_y> is sx_cos: sy_sin is that
-      same read-only array, kept only because bench/checks.py reads it.
+      the sin(omega t) coefficient of <sigma_y> is sx_cos, which the
+      property sy_sin returns too, only because bench/checks.py reads it.
 
     rows, the radial data of the window's partners (the j+ rows, then the
     j- rows, as e_plus and e_minus), and kets, the stationary-state
@@ -214,9 +214,13 @@ class PacketTables:
     norm4: np.ndarray
     sx_const: np.ndarray
     sx_cos: np.ndarray
-    sy_sin: np.ndarray
     sz_const: np.ndarray
     sz_cos: np.ndarray
+
+    @property
+    def sy_sin(self) -> np.ndarray:
+        """The sin(omega t) coefficients of <sigma_y>: sx_cos itself."""
+        return self.sx_cos
 
     @functools.cached_property
     def rows(self) -> _Radial:
@@ -400,7 +404,7 @@ def _tables(
 
     # Spin expectation coefficients (delta corrections live in k_coef).
     sx_const = w2 * ab2 * (g_plus / l1 - f_plus / l3)
-    sx_cos = _freeze(w2 * ab2 * (2.0 * lf / l1) * g_pm)
+    sx_cos = w2 * ab2 * (2.0 * lf / l1) * g_pm
     sz_const = w2 * (
         a2 * g_plus
         + b2 * (2.0 * lf - 1.0) / (l1 * l1) * (g_plus - 2.0 * lf * g_minus)
@@ -425,8 +429,7 @@ def _tables(
         norm3=_freeze(norm3),
         norm4=_freeze(norm4),
         sx_const=_freeze(sx_const),
-        sx_cos=sx_cos,
-        sy_sin=sx_cos,
+        sx_cos=_freeze(sx_cos),
         sz_const=_freeze(sz_const),
         sz_cos=_freeze(sz_cos),
     )
@@ -462,11 +465,6 @@ class TimeGrid:
         """The sample times in natural units."""
         return np.linspace(self.start, self.stop, self.samples) * self.scale
 
-    def _steps(self) -> tuple[float, float, int]:
-        """(t0, dt, count) of _phase_sum: the first time and the spacing, natural units."""
-        step = (float(self.stop) - float(self.start)) / (self.samples - 1)
-        return float(self.start) * self.scale, step * self.scale, self.samples
-
 
 def _as_time_array(t):
     arr = t.values if isinstance(t, TimeGrid) else np.asarray(t, dtype=float)
@@ -482,8 +480,8 @@ def _shaped(arr: np.ndarray, *series: np.ndarray) -> tuple:
     return tuple(values.reshape(arr.shape) for values in series)
 
 
-def _phase_sum(freqs, coefs, t0: float, dt: float, count: int) -> np.ndarray:
-    """sum_n coefs[n] exp(i freqs[n] (t0 + k dt)) for k = 0 .. count - 1.
+def _phase_sum(freqs, coefs, grid: TimeGrid) -> np.ndarray:
+    """sum_n coefs[n] exp(i freqs[n] t_k) at the times t_k = t0 + k dt of grid.
 
     Sample k = q B + j, B = ceil(sqrt(count)), is entry (q, j) of one
     (Q x S) (S x B) product: the giant steps t0 + q B dt carry the
@@ -491,6 +489,9 @@ def _phase_sum(freqs, coefs, t0: float, dt: float, count: int) -> np.ndarray:
     exponentials is taken of its own argument, never as a power or a
     recurrence, so the phase error is the rounding of E t whatever count is.
     """
+    count = grid.samples
+    t0 = float(grid.start) * grid.scale
+    dt = (float(grid.stop) - float(grid.start)) / (count - 1) * grid.scale
     width = math.isqrt(count - 1) + 1
     giant = t0 + dt * (width * np.arange(-(-count // width), dtype=float))
     baby = dt * np.arange(width, dtype=float)
@@ -511,7 +512,7 @@ def autocorrelation(tables: PacketTables, t):
         return _phase_sum(
             -np.concatenate([tables.e_plus, tables.e_minus]),
             np.concatenate([tables.acf_plus, tables.acf_minus]),
-            *t._steps(),
+            t,
         )
     arr = _as_time_array(t)
     flat = np.atleast_1d(arr)
@@ -532,8 +533,9 @@ def component_norms(tables: PacketTables, t):
     ph = np.cos(np.multiply.outer(flat, tables.omega))
     n1 = float(np.sum(tables.norm1_const)) - ph @ tables.norm2_cos
     n2 = float(np.sum(tables.norm2_const)) + ph @ tables.norm2_cos
-    n3 = np.full(flat.shape, float(np.sum(tables.norm3)))
-    n4 = np.full(flat.shape, float(np.sum(tables.norm4)))
+    small = small_norm(tables)
+    n3 = np.full(flat.shape, small.c3_norm)
+    n4 = np.full(flat.shape, small.c4_norm)
     return _shaped(arr, n1, n2, n3, n4)
 
 
@@ -547,24 +549,21 @@ def spin_expect(tables: PacketTables, t, include_delta: bool = True):
     <sigma_y>, sz_cos e^{i omega t} <sigma_z>, k_coef e^{i omega_tilde t}
     the corrections.
     """
+    sx_const = float(np.sum(tables.sx_const))
+    sz_const = float(np.sum(tables.sz_const))
     if isinstance(t, TimeGrid):
-        steps = t._steps()
-        xy = _phase_sum(tables.omega, tables.sx_cos, *steps)
+        xy = _phase_sum(tables.omega, tables.sx_cos, t)
         if include_delta and tables.k_coef.size:
-            xy += _phase_sum(tables.omega_tilde, tables.k_coef, *steps)
-        sz = _phase_sum(tables.omega, tables.sz_cos, *steps).real
-        return (
-            float(np.sum(tables.sx_const)) + xy.real,
-            xy.imag.copy(),
-            float(np.sum(tables.sz_const)) + sz,
-        )
+            xy += _phase_sum(tables.omega_tilde, tables.k_coef, t)
+        sz = _phase_sum(tables.omega, tables.sz_cos, t).real
+        return sx_const + xy.real, xy.imag.copy(), sz_const + sz
     arr = _as_time_array(t)
     flat = np.atleast_1d(arr)
     phase = np.multiply.outer(flat, tables.omega)
     ph_cos = np.cos(phase)
-    sx = float(np.sum(tables.sx_const)) + ph_cos @ tables.sx_cos
+    sx = sx_const + ph_cos @ tables.sx_cos
     sy = np.sin(phase) @ tables.sx_cos
-    sz = float(np.sum(tables.sz_const)) + ph_cos @ tables.sz_cos
+    sz = sz_const + ph_cos @ tables.sz_cos
     if include_delta and tables.k_coef.size:
         phase = np.multiply.outer(flat, tables.omega_tilde)
         sx = sx + np.cos(phase) @ tables.k_coef

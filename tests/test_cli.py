@@ -429,6 +429,10 @@ def test_parameter_preconditions(capsys):
         # The span 2 extent r_N past the double range: no NumPy warning first.
         (["density", "--Z", "92", "--N", "20", "--extent", "2e305"], "extent"),
         (["density", "--Z", "137", "--N", "2", "--extent", "4e307"], "extent"),
+        # The origin floor, 1e-12 of extent r_N, below the normal doubles:
+        # no divide-by-zero warning, and a message that names extent.
+        (["density", "--Z", "1", "--N", "300", "--grid", "17", "--extent", "1e-318"], "extent"),
+        (["density", "--Z", "137", "--N", "2", "--grid", "17", "--extent", "5e-324"], "extent"),
         # Times and sample counts are TimeGrid's checks; the command line
         # keeps only tmax > tmin, which a NaN fails.
         (["autocorr", "--Z", "92", "--N", "4", "--tmax", "inf"], "times must be finite"),

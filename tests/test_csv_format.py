@@ -8,9 +8,11 @@ Each subcommand writes the same bytes to ``--out`` as to stdout.
 """
 
 import io
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -89,8 +91,41 @@ def test_forced_fallback_gives_the_same_bytes(monkeypatch):
     rng = np.random.default_rng(16)
     x = np.concatenate([rng.normal(size=2000), rng.random(2000) * 1e-7, _edge_values()])
     expected = _expected(x)
-    monkeypatch.setattr(_csv_format, "_BOUND", np.longdouble(-1.0))
+    # A value whose power of ten is a double (lo = 0) is certified without
+    # the bound, so lo gets no zeros too.
+    tables = _csv_format._tables()
+    patched = tables._replace(lo=np.where(tables.lo == 0.0, 5e-324, tables.lo))
+    monkeypatch.setattr(_csv_format, "_tables", lambda: patched)
+    monkeypatch.setattr(_csv_format, "_BOUND", -1.0)
+    _, layout = _csv_format._float_slots(x)
+    assert np.all(layout >= _csv_format._TEXT_LAYOUT)
     assert _written(x) == expected
+
+
+def _decimal_ties() -> np.ndarray:
+    """Doubles whose exact decimal has 18 significant digits, the last a 5:
+    n / 2^(17 - e) for odd n, with exponent e in -6..15 (at 16 and above no
+    double is such a tie)."""
+    rng = np.random.default_rng(19)
+    values = [36322553228610.3125]
+    for e in range(-6, 16):
+        k = 17 - e
+        low = math.ceil(Fraction(10) ** e * 2**k)
+        high = min(10 ** (e + 1) * Fraction(2) ** k, 2**53)
+        n = rng.integers(low, int(high), 200) | 1
+        values += (n / 2.0**k).tolist()
+    return np.array(values)
+
+
+def test_decimal_ties_are_certified():
+    x = _decimal_ties()
+    for value in x.tolist():
+        digits = Decimal(value).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, value
+    x = np.concatenate([x, -x])
+    _, layout = _csv_format._float_slots(x)
+    assert np.all(layout < _csv_format._TEXT_LAYOUT)
+    assert _written(x) == _expected(x)
 
 
 def test_most_values_are_certified():
@@ -204,8 +239,10 @@ def test_columns_must_be_one_dimensional_and_equal():
         Columns(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError, match="equal length"):
         Columns(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="longer than"):
-        _written(np.array(["x" * 41]))
+    assert _written(np.array(["x" * 29])) == b"x" * 29 + b"\r\n"
+    for length in (30, 41):
+        with pytest.raises(ValueError, match="longer than"):
+            _written(np.array(["x" * length]))
     with pytest.raises(ValueError, match="NUL"):
         _written(np.array(["a\0b"]))
 
