@@ -402,9 +402,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        # The writer's tables are kept for the process.  Built here, below
-        # the command's arrays in the heap, they do not keep the heap from
-        # being trimmed when those arrays are freed after the write.
+        # The writer's tables live for the process; built before the command's
+        # arrays, they sit below them, so the heap is trimmed when they are freed.
         _tables()
         extra, header, columns = _COMMANDS[args.command](cfg)
         params = {}

@@ -1,9 +1,10 @@
 """The column writer gives exactly the bytes of ``"%.17g" % v`` and ``str``.
 
 Every float64 is compared with ``FLOAT % v``: drawn floats (nan, inf and
-subnormals included), raw 64-bit patterns, a fixed edge list, a value in
-each of the writer's float layouts, and a run in which nothing is
-certified, so every value takes the per-value fallback.
+subnormals included), raw 64-bit patterns, a fixed edge list, exact
+decimal ties (which must be certified), a value in each of the writer's
+float layouts, and a run in which nothing is certified, so every value
+takes the per-value fallback.
 Each subcommand writes the same bytes to ``--out`` as to stdout.
 """
 
