@@ -36,12 +36,14 @@ differences between shells; (E - 1) t is smaller by the binding, about
 the same binding energies.
 
 Everything time-dependent is evaluated from immutable precomputed tables,
-so one autocorrelation or spin sample costs O(window size) and vectorizes
-over time arrays.  On a uniform TimeGrid of K samples the sums are
-factored: with B = ceil(sqrt(K)), sample k = q B + j gets
+so one autocorrelation, spin or norm sample costs O(window size).  The
+three series are sums sum_n c_n e^{i f_n t}, all taken by _phase_sums.
+On a uniform TimeGrid of K samples it factors them: with
+B = ceil(sqrt(K)), sample k = q B + j gets
 sum_n c_n e^{i f_n (t0 + q B dt)} e^{i f_n j dt}, one (Q x S) (S x B)
 matrix product built from S (Q + B) exponentials, each from its own
-argument, in place of K S of them.
+argument, in place of K S of them.  Any other times it sums each on its
+own, so a time's value is the same alone or in a batch.
 
 dirac_coulomb owns how a shell maps to its two partner states:
 PacketSpec checks its window with _shell_coupling and keeps the xi it
@@ -442,9 +444,9 @@ class TimeGrid:
     start and stop are in a unit whose natural-unit duration is scale
     (TimeScales.unit_scale gives it for the named units), and values are
     the samples in natural units, as the command line prints them.
-    autocorrelation and spin_expect sum a grid in factored form, and
-    component_norms accepts one too.  density_grid and amplitudes take a
-    single time and reject a grid.
+    autocorrelation, spin_expect and component_norms sum a grid in
+    factored form, and the times of an array one by one.  density_grid and
+    amplitudes take a single time and reject a grid.
     """
 
     start: float
@@ -473,31 +475,38 @@ def _as_time_array(t):
     return arr
 
 
-def _shaped(arr: np.ndarray, *series: np.ndarray) -> tuple:
-    """Flat series in the shape of the times arr; Python numbers for a single time."""
-    if arr.ndim == 0:
-        return tuple(values.item() for values in series)
-    return tuple(values.reshape(arr.shape) for values in series)
+def _numbers(*series: np.ndarray) -> tuple:
+    """The series as they are; Python numbers for a single time."""
+    return tuple(values.item() if np.ndim(values) == 0 else values for values in series)
 
 
-def _phase_sum(freqs, coefs, grid: TimeGrid) -> np.ndarray:
-    """sum_n coefs[n] exp(i freqs[n] t_k) at the times t_k = t0 + k dt of grid.
+def _phase_sums(freqs, coefs, t) -> list[np.ndarray]:
+    """sum_n c[n] exp(i freqs[n] t) for each row c of coefs, in the shape of t.
 
-    Sample k = q B + j, B = ceil(sqrt(count)), is entry (q, j) of one
-    (Q x S) (S x B) product: the giant steps t0 + q B dt carry the
+    The rows share freqs, and so their exponentials.  On a TimeGrid,
+    sample k = q B + j, B = ceil(sqrt(count)), of a row is entry (q, j) of
+    one (Q x S) (S x B) product: the giant steps t0 + q B dt carry the
     coefficients, the baby steps j dt the rest.  Each of the S (Q + B)
     exponentials is taken of its own argument, never as a power or a
-    recurrence, so the phase error is the rounding of E t whatever count is.
+    recurrence, so the phase error is the rounding of E t whatever count
+    is.  Any other times are summed each on its own: the cos and sin of
+    each phase, each time's row reduced by np.vecdot, so a value does not
+    depend on the other times of the call.
     """
-    count = grid.samples
-    t0 = float(grid.start) * grid.scale
-    dt = (float(grid.stop) - float(grid.start)) / (count - 1) * grid.scale
-    width = math.isqrt(count - 1) + 1
-    giant = t0 + dt * (width * np.arange(-(-count // width), dtype=float))
-    baby = dt * np.arange(width, dtype=float)
-    left = np.exp(1j * np.multiply.outer(giant, freqs)) * coefs
-    right = np.exp(1j * np.multiply.outer(freqs, baby))
-    return (left @ right).ravel()[:count]
+    if isinstance(t, TimeGrid):
+        count = t.samples
+        t0 = float(t.start) * t.scale
+        dt = (float(t.stop) - float(t.start)) / (count - 1) * t.scale
+        width = math.isqrt(count - 1) + 1
+        giant = t0 + dt * (width * np.arange(-(-count // width), dtype=float))
+        baby = dt * np.arange(width, dtype=float)
+        left = np.exp(1j * np.multiply.outer(giant, freqs))
+        right = np.exp(1j * np.multiply.outer(freqs, baby))
+        return [((left * c) @ right).ravel()[:count] for c in coefs]
+    arr = _as_time_array(t)
+    phase = np.multiply.outer(arr.ravel(), freqs)
+    cos, sin = np.cos(phase), np.sin(phase)
+    return [(np.vecdot(cos, c) + 1j * np.vecdot(sin, c)).reshape(arr.shape) for c in coefs]
 
 
 def autocorrelation(tables: PacketTables, t):
@@ -508,17 +517,12 @@ def autocorrelation(tables: PacketTables, t):
     Accepts a scalar time, an ndarray of times (natural units) or a
     TimeGrid, and vectorizes over the window in one pass.
     """
-    if isinstance(t, TimeGrid):
-        return _phase_sum(
-            -np.concatenate([tables.e_plus, tables.e_minus]),
-            np.concatenate([tables.acf_plus, tables.acf_minus]),
-            t,
-        )
-    arr = _as_time_array(t)
-    flat = np.atleast_1d(arr)
-    out = np.exp(np.multiply.outer(flat, -1j * tables.e_plus)) @ tables.acf_plus
-    out += np.exp(np.multiply.outer(flat, -1j * tables.e_minus)) @ tables.acf_minus
-    return _shaped(arr, out)[0]
+    (amp,) = _phase_sums(
+        -np.concatenate([tables.e_plus, tables.e_minus]),
+        [np.concatenate([tables.acf_plus, tables.acf_minus])],
+        t,
+    )
+    return _numbers(amp)[0]
 
 
 def component_norms(tables: PacketTables, t):
@@ -528,15 +532,14 @@ def component_norms(tables: PacketTables, t):
     population at the per-shell splitting frequencies.  The four always
     sum to 1 (unitarity).
     """
-    arr = _as_time_array(t)
-    flat = np.atleast_1d(arr)
-    ph = np.cos(np.multiply.outer(flat, tables.omega))
-    n1 = float(np.sum(tables.norm1_const)) - ph @ tables.norm2_cos
-    n2 = float(np.sum(tables.norm2_const)) + ph @ tables.norm2_cos
+    (swing,) = _phase_sums(tables.omega, [tables.norm2_cos], t)
     small = small_norm(tables)
-    n3 = np.full(flat.shape, small.c3_norm)
-    n4 = np.full(flat.shape, small.c4_norm)
-    return _shaped(arr, n1, n2, n3, n4)
+    return _numbers(
+        float(np.sum(tables.norm1_const)) - swing.real,
+        float(np.sum(tables.norm2_const)) + swing.real,
+        np.full(swing.shape, small.c3_norm),
+        np.full(swing.shape, small.c4_norm),
+    )
 
 
 def spin_expect(tables: PacketTables, t, include_delta: bool = True):
@@ -544,31 +547,20 @@ def spin_expect(tables: PacketTables, t, include_delta: bool = True):
 
     include_delta toggles the cross-shell small-component corrections
     (the F' terms); they are bounded at the percent level and oscillate
-    near the optical frequencies E+(l) - E-(l+2).  On a TimeGrid the series
-    are three factored sums: sx_cos e^{i omega t} gives <sigma_x> and
-    <sigma_y>, sz_cos e^{i omega t} <sigma_z>, k_coef e^{i omega_tilde t}
-    the corrections.
+    near the optical frequencies E+(l) - E-(l+2).  The series take two
+    sets of exponentials: e^{i omega t}, which sx_cos turns into
+    <sigma_x> and <sigma_y> and sz_cos into <sigma_z>, and
+    e^{i omega_tilde t}, which k_coef turns into the corrections.  A
+    TimeGrid is summed in factored form, an array of times time by time.
     """
-    sx_const = float(np.sum(tables.sx_const))
-    sz_const = float(np.sum(tables.sz_const))
-    if isinstance(t, TimeGrid):
-        xy = _phase_sum(tables.omega, tables.sx_cos, t)
-        if include_delta and tables.k_coef.size:
-            xy += _phase_sum(tables.omega_tilde, tables.k_coef, t)
-        sz = _phase_sum(tables.omega, tables.sz_cos, t).real
-        return sx_const + xy.real, xy.imag.copy(), sz_const + sz
-    arr = _as_time_array(t)
-    flat = np.atleast_1d(arr)
-    phase = np.multiply.outer(flat, tables.omega)
-    ph_cos = np.cos(phase)
-    sx = sx_const + ph_cos @ tables.sx_cos
-    sy = np.sin(phase) @ tables.sx_cos
-    sz = sz_const + ph_cos @ tables.sz_cos
+    xy, z = _phase_sums(tables.omega, [tables.sx_cos, tables.sz_cos], t)
     if include_delta and tables.k_coef.size:
-        phase = np.multiply.outer(flat, tables.omega_tilde)
-        sx = sx + np.cos(phase) @ tables.k_coef
-        sy = sy + np.sin(phase) @ tables.k_coef
-    return _shaped(arr, sx, sy, sz)
+        xy += _phase_sums(tables.omega_tilde, [tables.k_coef], t)[0]
+    return _numbers(
+        float(np.sum(tables.sx_const)) + xy.real,
+        xy.imag.copy(),
+        float(np.sum(tables.sz_const)) + z.real,
+    )
 
 
 @dataclass(frozen=True)

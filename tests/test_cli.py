@@ -433,6 +433,10 @@ def test_parameter_preconditions(capsys):
         # no divide-by-zero warning, and a message that names extent.
         (["density", "--Z", "1", "--N", "300", "--grid", "17", "--extent", "1e-318"], "extent"),
         (["density", "--Z", "137", "--N", "2", "--grid", "17", "--extent", "5e-324"], "extent"),
+        # A normal floor, but the kappa = 1 partner's r^(gamma - 1) near the
+        # origin puts the density past the double range: no overflow warning.
+        (["density", "--Z", "137", "--N", "2", "--grid", "16", "--extent", "1e-170"], "extent"),
+        (["density", "--Z", "137", "--N", "2", "--grid", "16", "--extent", "1e-200"], "extent"),
         # Times and sample counts are TimeGrid's checks; the command line
         # keeps only tmax > tmin, which a NaN fails.
         (["autocorr", "--Z", "92", "--N", "4", "--tmax", "inf"], "times must be finite"),

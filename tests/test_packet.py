@@ -331,12 +331,40 @@ def test_observables_take_the_shape_of_the_times(tables_u92_n20, observable):
         at_0d = series(np.array(times[index]))
         for x, y, values in zip(at_float, at_0d, table, strict=True):
             assert type(x) is number and type(y) is number
-            assert repr(x) == repr(y)
-            # The one-time and many-time matrix products sum in different
-            # orders (BLAS dot against gemv), so only the last bits differ.
-            assert abs(x - values[index]) < 1e-15
+            assert repr(x) == repr(y) == repr(values[index].item())
     grid = series(TimeGrid(0.0, 10.0, 7, t_ls))
     assert all(isinstance(v, np.ndarray) and v.shape == (7,) for v in grid)
+
+
+BATCH_OBSERVABLES = {
+    "autocorrelation": autocorrelation,
+    "spin": spin_expect,
+    "spin without delta": lambda tables, t: spin_expect(tables, t, include_delta=False),
+    "norms": component_norms,
+}
+
+
+@pytest.mark.parametrize("Z, N", [(1, 20), (92, 4), (92, 20), (137, 300)])
+def test_a_batch_equals_its_times_alone(Z, N):
+    """A time's value is bit for bit the same alone and in a batch of 4,000.
+
+    A (2, 3) array of times gives its flat batch's values too.  Each time
+    is summed on its own, so no reduction order depends on the batch.
+    """
+    tables = build_tables(PacketSpec(Z=Z, N=N))
+    times = np.random.default_rng(1000 * Z + N).uniform(0.0, 1e7, 4000)
+    for name, observable in BATCH_OBSERVABLES.items():
+
+        def series(t):
+            out = observable(tables, t)
+            return out if isinstance(out, tuple) else (out,)
+
+        batch = series(times)
+        alone = list(zip(*(series(float(t)) for t in times)))
+        square = series(times[:6].reshape(2, 3))
+        for values, singles, block in zip(batch, alone, square, strict=True):
+            assert values.tobytes() == np.array(singles, dtype=values.dtype).tobytes(), name
+            assert block.tobytes() == values[:6].tobytes(), name
 
 
 def test_rejects_nonfinite_times(tables_u92_n4):

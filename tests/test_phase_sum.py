@@ -244,7 +244,11 @@ def test_grid_rejects_bad_parameters(args):
 
 
 def test_grid_path_builds_no_samples_by_terms_array(monkeypatch):
-    """S (Q + B) exponentials per sum, and no array of K x S values."""
+    """S (Q + B) exponentials per frequency set, and no array of K x S values.
+
+    The spin's sigma_x/sigma_y and sigma_z sums share the omega
+    exponentials, so it takes one omega set and one omega_tilde set.
+    """
     tables = build_tables(PacketSpec(Z=92, N=40, sigma_g=4.0))
     count = 100_000
     width = math.isqrt(count - 1) + 1
@@ -264,8 +268,8 @@ def test_grid_path_builds_no_samples_by_terms_array(monkeypatch):
     assert sizes == [2 * shells * rows, 2 * shells * width]
     sizes.clear()
     spin_expect(tables, grid)
-    sums = [shells, shells, tables.k_coef.size]
-    assert sorted(sizes) == sorted(s * n for s in sums for n in (rows, width))
+    sets = [shells, tables.k_coef.size]
+    assert sorted(sizes) == sorted(s * n for s in sets for n in (rows, width))
     monkeypatch.undo()
 
     # The smallest K x S array the direct path builds is K x (shells - 2)
