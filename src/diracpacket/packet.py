@@ -186,11 +186,12 @@ class PacketTables:
       from the binding energies, and k_coef, the cross-shell F'_l
       correction to <sigma_x>, <sigma_y> with its weights folded in;
     - the coefficients of A(t) (acf_*), of the component norms (norm*)
-      and of the spin series (s*); each already carries w_l^2 and the
-      radial integrals, so an observable is a dot product against phase
+      and of <sigma_x>, <sigma_y> (sx_*); each already carries w_l^2 and
+      the radial integrals, so an observable is a dot product against phase
       factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos, and
       the sin(omega t) coefficient of <sigma_y> is sx_cos, which the
       property sy_sin returns too, only because bench/checks.py reads it.
+      <sigma_z> has no table: the properties sz_* derive it from norm*.
 
     rows, the radial data of the window's partners (the j+ rows, then the
     j- rows, as e_plus and e_minus), and kets, the stationary-state
@@ -216,13 +217,21 @@ class PacketTables:
     norm4: np.ndarray
     sx_const: np.ndarray
     sx_cos: np.ndarray
-    sz_const: np.ndarray
-    sz_cos: np.ndarray
 
     @property
     def sy_sin(self) -> np.ndarray:
         """The sin(omega t) coefficients of <sigma_y>: sx_cos itself."""
         return self.sx_cos
+
+    @property
+    def sz_const(self) -> np.ndarray:
+        """The constant terms of <sigma_z>: norm1 - norm2 + norm3 - norm4."""
+        return _freeze(self.norm1_const - self.norm2_const + self.norm3 - self.norm4)
+
+    @property
+    def sz_cos(self) -> np.ndarray:
+        """The cos(omega t) coefficients of <sigma_z>: -2 norm2_cos."""
+        return _freeze(-2.0 * self.norm2_cos)
 
     @functools.cached_property
     def rows(self) -> _Radial:
@@ -407,13 +416,6 @@ def _tables(
     # Spin expectation coefficients (delta corrections live in k_coef).
     sx_const = w2 * ab2 * (g_plus / l1 - f_plus / l3)
     sx_cos = w2 * ab2 * (2.0 * lf / l1) * g_pm
-    sz_const = w2 * (
-        a2 * g_plus
-        + b2 * (2.0 * lf - 1.0) / (l1 * l1) * (g_plus - 2.0 * lf * g_minus)
-        + b2 * (2.0 * lf / l1) * f_minus
-        - (a2 * l1 / l3 + b2 * (2.0 * lf - 1.0) / (l1 * l3)) * f_minus
-    )
-    sz_cos = -w2 * b2 * (8.0 * lf / (l1 * l1)) * g_pm
 
     return PacketTables(
         spec=spec,
@@ -432,8 +434,6 @@ def _tables(
         norm4=_freeze(norm4),
         sx_const=_freeze(sx_const),
         sx_cos=_freeze(sx_cos),
-        sz_const=_freeze(sz_const),
-        sz_cos=_freeze(sz_cos),
     )
 
 
@@ -548,8 +548,8 @@ def spin_expect(tables: PacketTables, t, include_delta: bool = True):
     include_delta toggles the cross-shell small-component corrections
     (the F' terms); they are bounded at the percent level and oscillate
     near the optical frequencies E+(l) - E-(l+2).  The series take two
-    sets of exponentials: e^{i omega t}, which sx_cos turns into
-    <sigma_x> and <sigma_y> and sz_cos into <sigma_z>, and
+    sets of exponentials: e^{i omega t}, which sx_cos turns into <sigma_x>
+    and <sigma_y> and sz_cos, from the norm tables, into <sigma_z>, and
     e^{i omega_tilde t}, which k_coef turns into the corrections.  A
     TimeGrid is summed in factored form, an array of times time by time.
     """

@@ -37,17 +37,17 @@ GOLDEN = [
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3"),
-        "7e77131781ae127051f7fdc53f63c3fb086bfcc9907333bdba9bd135978ce394",
+        "46b293f1daa479d1fb0bc116bbc1ffdd4cc16ff70df8eb1ed8a3a35ae04e83f4",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3",
          "--no-delta"),
-        "2d1eccf334aa29a03c1c79f25c42fccd448499edc081d290f3bef2536cd31b8f",
+        "2c1a7cbf25e3d1ab3e81acab34cb1d9fb2f69c3c549cc556114dbf4fda331a4b",
     ),
     (
         ("spin", "--Z", "54", "--N", "12", "--sigma", "1.5", "--a", "0.6", "--b", "0.8",
          "--unit", "seconds", "--tmax", "1e-13", "--samples", "150"),
-        "7ca5749f4fa5454f51ebb35fefefadb74ec925abc32a9067d4637cf4d59009bf",
+        "6f3576a820b202c3364ab91cb7ac62fc9d064f3eec683ea0a620e883b1286322",
     ),
     (
         ("density", "--Z", "92", "--N", "20", "--unit", "kepler", "--time", "0.37",

@@ -46,7 +46,7 @@ from diracpacket import (
 )
 from oracles import ket_states
 
-GOLDEN = "0b1d63cdbdc4d436250b5004c56c3c1c6c760c4d05327725471df6cb10fd3fd2"
+GOLDEN = "01ed4dea45c6d55219626d1f5a8614a956a9682ceaf440b4d3830aa68b748531"
 LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)

@@ -517,12 +517,11 @@ class _BruteSpin:
 def test_spin_against_brute_force_u92_n40(tables_u92_n40):
     """Production arrays against the raw ket sum at the heavy benchmark.
 
-    sigma_x must agree to rounding.  sigma_y differs only through the
-    sign the closed form assigns to the cross-shell sine corrections, so
-    the gap is bounded by twice their total weight.  sigma_z carries a
-    small systematic offset from the closed-form constant (the small-
-    small cross integral it uses for the stationary term); both gaps are
-    asserted against their budgets rather than hidden.
+    sigma_x and sigma_z agree within the oracle's own phase drift; sigma_z
+    comes from the same norm tables as component_norms and has no offset.
+    sigma_y differs through the sign of the cross-shell sine corrections,
+    a known defect of spin_expect that the benchmark's reference shares,
+    so its gap is bounded by twice their total weight until both are fixed.
     """
     tab = tables_u92_n40
     brute = _BruteSpin(tab)
@@ -542,23 +541,19 @@ def test_spin_against_brute_force_u92_n40(tables_u92_n40):
 
 def test_spin_against_brute_force_u92_n4(tables_u92_n4):
     """Same comparison on the strongly relativistic small packet, where
-    the documented closed-form deviations are largest."""
+    the small components are largest: sigma_x and sigma_z to 1e-9, and
+    sigma_y within the budget of its known cross-shell sign defect."""
     tab = tables_u92_n4
     brute = _BruteSpin(tab)
     t_ls = 2.0 * math.pi / fine_splitting(92, 4)
     delta_budget = 2.0 * float(np.sum(np.abs(tab.k_coef)))
-    seen_z_offset = 0.0
     for frac in (0.0, 0.2, 0.55, 1.3, 2.71):
         t = frac * t_ls
         bx, by, bz = brute(t)
         sx, sy, sz = spin_expect(tab, t)
         assert abs(sx - bx) < 1e-9
         assert abs(sy - by) < delta_budget + 1e-9
-        assert abs(sz - bz) < 2e-4
-        seen_z_offset = max(seen_z_offset, abs(sz - bz))
-    # the sigma_z offset is a real, stable property of the closed-form
-    # constant at this coupling, not noise; pin its order of magnitude
-    assert 1e-6 < seen_z_offset < 2e-4
+        assert abs(sz - bz) < 1e-9
 
 
 def test_brute_force_confirms_sigma_x_exact(tables_u92_n4):

@@ -3,7 +3,8 @@
 Every packet drawn here is checked, on a time array and on a TimeGrid, for
 the invariants that hold for any spin amplitudes and shell weights:
 A(0) = 1, |A| <= 1, unitarity of the four component norms, a spin vector
-no longer than 1, and a small-component population in [0, 1).  The tables
+no longer than 1 whose sigma_z is n1 - n2 + n3 - n4 of those norms to
+rounding, and a small-component population in [0, 1).  The tables
 built as arrays over the window must equal, bit for bit, the tables
 assembled from the scalar binding energies, splittings and overlaps of the
 window's states, for N up to 500, and the rows of a sub-range of shells
@@ -64,16 +65,22 @@ def test_packet_invariants(Z, N, sigma_g, theta):
     spec = _spec(Z=Z, N=N, sigma_g=sigma_g, a=math.cos(theta), b=math.sin(theta))
     tables = build_tables(spec)
     t_ls = timescales(Z, N).t_ls
+    # sigma_z and n1 - n2 + n3 - n4 combine the same nonnegative norm terms
+    # of the S shells, which add up to 1: each side's shell sums round by at
+    # most (S - 1) eps / 2 in any order, and a few more roundings join them.
+    z_bound = (tables.weights.n.size + 4) * np.finfo(float).eps
     # The same invariants through the direct path and the factored grid path.
     for t in (np.linspace(0.0, 10.0 * t_ls, 400), TimeGrid(0.0, 10.0, 400, t_ls)):
         amp = autocorrelation(tables, t)
         assert abs(amp[0] - 1.0) <= TOL
         assert np.max(np.abs(amp)) <= 1.0 + TOL
 
-        assert np.max(np.abs(sum(component_norms(tables, t)) - 1.0)) <= TOL
+        n1, n2, n3, n4 = component_norms(tables, t)
+        assert np.max(np.abs(n1 + n2 + n3 + n4 - 1.0)) <= TOL
 
         sx, sy, sz = spin_expect(tables, t)
         assert np.max(np.sqrt(sx * sx + sy * sy + sz * sz)) <= 1.0 + TOL
+        assert np.max(np.abs(sz - (n1 - n2 + n3 - n4))) <= z_bound
 
     assert 0.0 <= small_norm(tables).total < 1.0
 
