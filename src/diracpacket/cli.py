@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from ._csv_format import Columns, _tables
-from .constants import DEFAULT_CONSTANTS
+from .constants import COMPTON_TIME_SECONDS, DEFAULT_CONSTANTS
 from .density import PlaneGridSpec, density_grid
 from .packet import (
     PacketSpec,
@@ -86,23 +86,20 @@ class CliError(Exception):
 def parse_range(text, name: str) -> list[int]:
     """Parse an integer or an inclusive START:STOP[:STEP] range."""
     parts = str(text).split(":")
+    malformed = f"{name} must be an integer or START:STOP[:STEP] range, got {text!r}"
+    if len(parts) > 3:
+        raise CliError(malformed)
     try:
         numbers = [int(p) for p in parts]
     except ValueError:
-        raise CliError(
-            f"{name} must be an integer or START:STOP[:STEP] range, got {text!r}"
-        ) from None
+        raise CliError(malformed) from None
     if len(numbers) == 1:
         return numbers
     if len(numbers) == 2:
         start, stop = numbers
         step = 1
-    elif len(numbers) == 3:
-        start, stop, step = numbers
     else:
-        raise CliError(
-            f"{name} must be an integer or START:STOP[:STEP] range, got {text!r}"
-        )
+        start, stop, step = numbers
     if step <= 0:
         raise CliError(f"{name} range step must be positive, got {step}")
     if stop < start:
@@ -197,10 +194,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if merged["Z"] is None:
-        raise CliError("Z is required (flag --Z or config key)")
-    if merged["N"] is None:
-        raise CliError("N is required (flag --N or config key)")
+    for key in ("Z", "N"):
+        if merged[key] is None:
+            raise CliError(f"{key} is required (flag --{key} or config key)")
     return merged
 
 
@@ -239,14 +235,13 @@ def cmd_timescales(cfg: dict) -> tuple[dict, list[str], Columns]:
     # One row per point and label: k = 1..kmax, then ls and cl.
     times = np.column_stack([t, t_ls, t_cl])
     labels = [str(k) for k in range(1, kmax + 1)] + ["ls", "cl"]
-    seconds = DEFAULT_CONSTANTS.compton_time_seconds
     columns = Columns(
         np.repeat(z_points, len(labels)),
         np.repeat(n_points, len(labels)),
         np.tile(labels, len(z_points)),
         times.ravel(),
         (times / t[:, :1]).ravel(),
-        (times * seconds).ravel(),
+        (times * COMPTON_TIME_SECONDS).ravel(),
     )
     header = ["Z", "N", "k", "T_k_natural", "T_k_over_T1", "T_k_seconds"]
     return {}, header, columns
@@ -310,7 +305,7 @@ def cmd_density(cfg: dict) -> tuple[dict, list[str], Columns]:
         "t_natural": t_nat,
         "t_kepler": t_nat / scales.t_cl,
         "t_tls": t_nat / scales.t_ls,
-        "t_seconds": t_nat * scales.constants.compton_time_seconds,
+        "t_seconds": t_nat * COMPTON_TIME_SECONDS,
     }
     return extra, header, columns
 
@@ -351,8 +346,8 @@ _FLAGS = {
     "samples": dict(type=int, default=2000, help="number of time samples"),
     "unit": dict(choices=_TIME_UNITS, default="tls", help="time unit for inputs/outputs"),
     "time": dict(type=float, default=0.0, help="sample time in --unit"),
-    "grid": dict(type=int, default=256, help="nodes per axis"),
-    "extent": dict(type=float, default=1.6, help="half-width in r_N units"),
+    "grid": dict(type=int, default=PlaneGridSpec.resolution, help="nodes per axis"),
+    "extent": dict(type=float, default=PlaneGridSpec.extent, help="half-width in r_N units"),
     "kmax": dict(type=int, default=4, help="highest derivative order"),
     "no_delta": dict(
         action="store_const", const=True, default=False,
@@ -414,7 +409,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "version": __version__,
             "alpha": DEFAULT_CONSTANTS.alpha,
-            "time_unit_seconds": DEFAULT_CONSTANTS.compton_time_seconds,
+            "time_unit_seconds": COMPTON_TIME_SECONDS,
             "units": "natural units m_e = hbar = c = 1",
             "params": params,
         }

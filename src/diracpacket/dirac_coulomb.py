@@ -300,8 +300,7 @@ def state_from_kappa(
     kappa with n' differing by one yields orthogonal states, which makes a
     sharp independent check of the radial machinery.
     """
-    if n_prime not in (0, 1):
-        raise ValueError(f"require n_prime in {{0, 1}}, got {n_prime!r}")
+    _require_int("n_prime", n_prime, 0, 1)
     xi = _coupling(Z, n_prime, kappa, constants)
     kappa = int(kappa)
     level = _levels(xi, n_prime, [kappa])

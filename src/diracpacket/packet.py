@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import COMPTON_TIME_SECONDS, DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
     _each,
     _Radial,
@@ -101,7 +101,9 @@ class PacketSpec:
     window defaults to [max(2, N - ceil(5 sigma_g)), N + ceil(5 sigma_g)],
     wide enough that the clipped Gaussian tails carry < 1e-10 of the
     weight.  The lower clamp at 2 keeps every shell's j_minus partner in
-    existence (l = n - 1 >= 1).  A window holds at most 1,001 shells, and
+    existence (l = n - 1 >= 1).  Both bounds take the library's one integer
+    rule, with minimum 2 (an int or np.integer, not a bool or 64.0), and
+    must not be out of order.  A window holds at most 1,001 shells, and
     none above n = 100,000.  xi = Z alpha is derived, not passed: the check
     that every partner of the window is bound returns it, and the tables,
     sweeps and density read it here.
@@ -135,15 +137,10 @@ class PacketSpec:
                 self, "window", (max(2, self.N - half), self.N + half)
             )
         n_min, n_max = self.window
-        if not all(isinstance(n, (int, np.integer)) for n in self.window):
-            raise ValueError(f"window bounds must be integers, got {self.window!r}")
+        _require_int("window[0]", n_min, 2)
+        _require_int("window[1]", n_max, 2)
         if n_min > n_max:
             raise ValueError(f"empty shell window {self.window!r}")
-        if n_min < 2:
-            raise ValueError(
-                f"window must start at n >= 2 (j_minus partner needs l >= 1), "
-                f"got {self.window!r}"
-            )
         if n_max - n_min >= _MAX_SHELLS:
             raise ValueError(f"window {self.window!r} holds more than {_MAX_SHELLS} shells")
         if not (n_min <= self.N <= n_max):
@@ -689,7 +686,7 @@ class TimeScales:
         """Natural-unit duration of one step of the named display unit."""
         if unit not in _TIME_UNITS:
             raise ValueError(f"unknown time unit {unit!r}; expected one of {_TIME_UNITS}")
-        scales = (1.0, self.t_cl, self.t_ls, 1.0 / self.constants.compton_time_seconds)
+        scales = (1.0, self.t_cl, self.t_ls, 1.0 / COMPTON_TIME_SECONDS)
         return scales[_TIME_UNITS.index(unit)]
 
 

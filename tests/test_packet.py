@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from diracpacket import (
+    COMPTON_TIME_SECONDS,
     Branch,
     PacketSpec,
     PhysicalConstants,
@@ -80,9 +81,9 @@ def test_spec_validation():
         PacketSpec(Z=92, N=20, window=(25, 30))  # centroid outside
     with pytest.raises(ValueError):
         PacketSpec(Z=140, N=4)  # window reaches a supercritical shell
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"window\[0\] >= 2 \(an integer\)"):
         PacketSpec(Z=92, N=20, window=(2.5, 30))
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"window\[1\] >= 2 \(an integer\)"):
         PacketSpec(Z=92, N=20, window=(10, 30.5))
     with pytest.raises(ValueError, match="empty shell window"):
         PacketSpec(Z=92, N=20, window=(30, 10))
@@ -592,7 +593,7 @@ def test_unit_scales():
     ts = timescales(92, 40)
     assert ts.unit_scale("natural") == 1.0
     assert (ts.unit_scale("kepler"), ts.unit_scale("tls")) == (ts.t_cl, ts.t_ls)
-    assert ts.unit_scale("seconds") == 1.0 / ts.constants.compton_time_seconds
+    assert ts.unit_scale("seconds") == 1.0 / COMPTON_TIME_SECONDS
     with pytest.raises(ValueError, match="unknown time unit 'minutes'"):
         ts.unit_scale("minutes")
 
@@ -600,7 +601,7 @@ def test_unit_scales():
 def test_timescale_nonrelativistic_ratios():
     """With a vanishing coupling the hierarchy collapses onto the Bohr
     ratios 2n/3, n^2/2, 2n^3/5, n^4/3, 2n^5/7."""
-    weak = PhysicalConstants(alpha=1e-6, compton_time_seconds=1.0)
+    weak = PhysicalConstants(alpha=1e-6)
     n = 20
     ts = timescales(1, n, k_max=6, constants=weak)
     expected = {
