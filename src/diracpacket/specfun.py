@@ -40,11 +40,18 @@ def legendre_norm(l: int, m: int, theta: float) -> float:
 
     followed by the standard upward recurrence in l with normalized
     coefficients; the running scale exponent keeps mantissas bounded.
+
+    sin(theta) comes from math.sin, not from sqrt(1 - cos^2), which cancels
+    near the poles (4e-9 relative error at (10, 3, 1e-4)).  There the error
+    is the recurrence's and that of rounding cos(theta), each at most of
+    order (l - m)^2 ulps: 2e-14 at (500, 50, 1e-3), and 6e-12 at
+    (500, 0, 1e-8), whose cosine rounds to 1.  Only theta = 0 gives 0 for
+    m > 0; the double nearest pi is 1.2e-16 short of the pole.
     """
     if l < 0 or m < 0 or m > l:
         raise ValueError(f"require 0 <= m <= l, got l={l!r}, m={m!r}")
     x = math.cos(theta)
-    s = math.sqrt(max(0.0, 1.0 - x * x))
+    s = abs(math.sin(theta))
 
     if m == 0:
         sign = 1.0
@@ -78,8 +85,9 @@ def legendre_norm(l: int, m: int, theta: float) -> float:
 def sph_harm(l: int, m: int, theta: float, phi: float) -> complex:
     """Spherical harmonic Y_{l,m}(theta, phi), Condon-Shortley phase.
 
-    Stable for l up to a few hundred at any angle; values that are truly
-    subnormal (far under the seed scale near the poles) flush to zero.
+    Stable for l up to a few hundred at any angle, the poles included (see
+    legendre_norm); values that are truly subnormal (far under the seed
+    scale near the poles) flush to zero.
     """
     mm = abs(m)
     p = legendre_norm(l, mm, theta)

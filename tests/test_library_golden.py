@@ -46,7 +46,7 @@ from diracpacket import (
 )
 from oracles import ket_states
 
-GOLDEN = "01ed4dea45c6d55219626d1f5a8614a956a9682ceaf440b4d3830aa68b748531"
+GOLDEN = "4da912de467c1175a0bbe84cb0693f970aca950ce8eaa21e5b964825c936e3ab"
 LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)
