@@ -688,6 +688,21 @@ def test_timescale_validation():
         timescales(92, 20, k_max=True)
 
 
+def test_timescales_refuse_a_zero_derivative(monkeypatch):
+    """No bound rules out an exact 0.0 among the energy's Taylor
+    coefficients, whose T_k would be infinite; a jet with one is refused."""
+    energy_jet = packet._energy_jet_plus
+
+    def flat_at_third_order(xi, n0, order):
+        jet = energy_jet(xi, n0, order)
+        jet.c[:, 3] = 0.0
+        return jet
+
+    monkeypatch.setattr(packet, "_energy_jet_plus", flat_at_third_order)
+    with pytest.raises(ValueError, match="degenerate derivative order k = 3 at N = 40"):
+        timescales(92, 40)
+
+
 @pytest.mark.parametrize(
     "name, build, good, out_of_range",
     [
