@@ -50,12 +50,13 @@ exponent before a single exp call, so states up to n of a few hundred
 evaluate without intermediate overflow.
 
 The levels, radial data and overlaps are computed by kernels over NumPy
-arrays of states (_levels, _radial, _overlap, and _norm for a state with
-itself, whose log-Gamma terms cancel analytically).  This module owns the
+arrays of states (_levels, _radial with its log-free part _polynomials,
+_overlap, and _norm for a state with itself, whose log-Gamma terms cancel
+analytically, so it needs the polynomials alone).  This module owns the
 circular shell layout: only _shells labels a shell's two partners and
 only _shell_coupling checks that a range of shells binds them (returning
-xi), and _window_rows, _shell_radial and _shell_splittings hand the
-packet module whole shells.
+xi), and _window_rows, _shell_radial, _partner_overlaps and
+_shell_splittings hand the packet module whole shells.
 state_from_kappa, overlap_closed_form and the energies call the kernels
 with one row, so each formula has one home.  Every transcendental goes
 through math one element at a time, which makes a result independent of
@@ -198,13 +199,31 @@ def _shell_coupling(Z: int, lo: int, hi: int, constants: PhysicalConstants) -> f
 
 
 def _shell_splittings(Z, N, constants: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
-    """xi and E+ - E- at the points (Z[i], N[i]); an error names the first bad point."""
-    xi = []
-    for z, shell in zip(Z, N):
-        _require_int("N", shell, 2)
-        xi.append(_shell_coupling(z, shell, shell, constants))
-    xi = np.array(xi)
-    return xi, _shells(xi, N)[1]
+    """xi and E+ - E- at the points (Z[i], N[i]); an error names the first bad point.
+
+    The points are checked as columns: one type test each, then one mask of
+    the values, which holds exactly where the scalar checks pass.  If it
+    fails anywhere, the scalar checks run point by point and raise the
+    first bad point's own message.
+    """
+    z, n = np.asarray(Z), np.asarray(N)
+    if not (
+        _integers(Z)
+        and _integers(N)
+        and np.all((n >= 2) & (z >= 1) & (n <= _MAX_N) & (z * constants.alpha < n - 1))
+    ):
+        for charge, shell in zip(Z, N):
+            _require_int("N", shell, 2)
+            _shell_coupling(charge, shell, shell, constants)
+    xi = z * constants.alpha
+    return xi, _shells(xi, n)[1]
+
+
+def _integers(values) -> bool:
+    """Whether every value passes _require_int's type rule: an int or np.integer, not a bool."""
+    return all(
+        issubclass(kind, (int, np.integer)) and kind is not bool for kind in set(map(type, values))
+    )
 
 
 def binding_energy(
@@ -337,26 +356,35 @@ class _Radial(NamedTuple):
 
 def _radial(xi: float, level: _Levels) -> _Radial:
     """Radial data of the states of level, n' in {0, 1}; see state_from_kappa."""
-    n_prime, kappa, big_n = level.n_prime, level.kappa, level.big_n
-    lam = xi / big_n
-    beta = big_n - kappa
+    lam, g_poly, f_poly = _polynomials(xi, level)
+    beta = level.big_n - level.kappa
     c = 2.0 * level.gamma + 1.0
-
     log_a = (
         1.5 * _each(math.log, 2.0 * lam)
         - _each(math.lgamma, c)
         + 0.5
         * (
-            _each(math.lgamma, c + n_prime)
+            _each(math.lgamma, c + level.n_prime)
             - _LN4
-            - _each(math.log, big_n)
+            - _each(math.log, level.big_n)
             - _each(math.log, beta)
         )
     )
     one_minus_e = lam * lam / (1.0 + level.energy)
     g_log = log_a + 0.5 * _each(math.log1p, level.energy)
     f_log = log_a + 0.5 * _each(math.log, one_minus_e)
+    return _Radial(level.gamma, lam, g_log, g_poly, f_log, f_poly)
 
+
+def _polynomials(xi: float, level: _Levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda and the g and f polynomials of the states of level, n' in {0, 1}.
+
+    The part of _radial without its log prefactors: + - * / and sqrt only.
+    """
+    n_prime, kappa, big_n = level.n_prime, level.kappa, level.big_n
+    lam = xi / big_n
+    beta = big_n - kappa
+    c = 2.0 * level.gamma + 1.0
     # n' = 0: P_g = beta and P_f = -beta.
     nodeless = np.stack([beta, np.zeros_like(beta)])
     # n' = 1: beta - 1 is a near-cancellation of order xi^2 for kappa > 0;
@@ -373,7 +401,7 @@ def _radial(xi: float, level: _Levels) -> _Radial:
     one_node = n_prime == 1
     g_poly = np.where(one_node, np.stack([-c0_g, -c1]), nodeless)
     f_poly = np.where(one_node, np.stack([beta + 1.0, c1]), -nodeless)
-    return _Radial(level.gamma, lam, g_log, g_poly, f_log, f_poly)
+    return lam, g_poly, f_poly
 
 
 def _shell_radial(xi: float, n: np.ndarray) -> _Radial:
@@ -456,7 +484,7 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
     """
     _check_pair(a, b, part)
     if a == b:
-        return float(_norm(a.n_prime, a.energy, a, part))
+        return float(_norm(a, a.lam, a.g_poly, a.f_poly, part))
     return float(_overlap(a, b, part)[0])
 
 
@@ -487,10 +515,11 @@ def _overlap(a, b, part: str) -> np.ndarray:
     return bracket * _each(math.exp, base)
 
 
-def _norm(n_prime, energy, rows, part: str) -> np.ndarray:
+def _norm(level, lam, g_poly, f_poly, part: str) -> np.ndarray:
     """<g|g> (part 'gg') or <f|f> ('ff') of each state with itself, row by row.
 
-    rows are CircularStates or _Radial rows, with their n' and E.  On the
+    level gives the states' n', gamma and E (a _Levels or a CircularState),
+    and lam, g_poly and f_poly their lambda and polynomials.  On the
     diagonal the lgamma and log(2 lambda) terms of _overlap's exponent
     cancel those of the log prefactors, which leaves log c for n' = 1:
 
@@ -499,31 +528,35 @@ def _norm(n_prime, energy, rows, part: str) -> np.ndarray:
     with c = 2 gamma + 1, N = (n' + gamma) / E, s = beta / c^n' (the
     coefficient of x^n' in g's polynomial), M = p0^2 + 2 c p0 p1
     + c (c + 1) p1^2 the moments of the component's polynomial p, and
-    1 - E taken as lambda^2 / (1 + E), as in _radial.  Without
-    the cancellation the exponent carries lgamma(c), whose rounding put
-    |<g|g> + <f|f> - 1| near 1e-12 by N = 165.
+    1 - E taken as lambda^2 / (1 + E), as in _radial.  No log prefactor is
+    read, so a norm takes no transcendental.  Without the cancellation the
+    exponent carries lgamma(c), whose rounding put |<g|g> + <f|f> - 1| near
+    1e-12 by N = 165.
     """
-    gamma = np.asarray(rows.gamma)
-    g_poly = np.asarray(rows.g_poly)
-    p0, p1 = g_poly if part == "gg" else np.asarray(rows.f_poly)
+    n_prime, energy = level.n_prime, level.energy
+    gamma = np.asarray(level.gamma)
+    g_poly = np.asarray(g_poly)
+    p0, p1 = g_poly if part == "gg" else np.asarray(f_poly)
     c = 2.0 * gamma + 1.0
     big_n = (n_prime + gamma) / energy
     s = np.where(n_prime == 1, g_poly[1], g_poly[0])
     moments = p0 * p0 + 2.0 * c * p0 * p1 + c * (c + 1.0) * p1 * p1
-    lam = np.asarray(rows.lam)
+    lam = np.asarray(lam)
     side = 1.0 + energy if part == "gg" else lam * lam / (1.0 + energy)
     return moments * side / (4.0 * big_n * s)
 
 
 def _window_rows(xi: float, n: np.ndarray, nonrelativistic_radial: bool) -> tuple:
-    """Binding energies E+ - 1, E- - 1, omega and the radial integrals of the shells n.
+    """Binding energies E+ - 1, E- - 1, omega and the same-state integrals of the shells n.
 
-    n is a range of shells.  The integrals are <g+|g+>, <g-|g->, <g+|g->,
-    <f+|f+>, <f-|f->, and F'(n) = <f+(n)|f-(n + 2)> over all but the last
-    two shells; with nonrelativistic_radial, their limits 1 (g) and 0 (f).
-    A row depends only on xi and its shell, so a sub-range's rows are a
-    slice of these: packet._sweep_tables calls this once per run of
-    windows of one charge and slices each window's rows from the run's,
+    n is a range of shells.  The integrals are <g+|g+>, <g-|g->, <f+|f+>
+    and <f-|f->; with nonrelativistic_radial, their limits 1 (g) and 0 (f).
+    They read the states' polynomials alone (see _norm), so no log
+    prefactor is formed here; the cross-state integrals, which need them,
+    are _partner_overlaps of _shell_radial rows, which PacketTables takes on
+    first read.  A row depends only on xi and its shell, so a sub-range's
+    rows are a slice of these: packet._sweep_tables calls this once per run
+    of windows of one charge and slices each window's rows from the run's,
     and build_tables is its one-window case.
     """
     level, omega = _shells(xi, n)
@@ -531,13 +564,22 @@ def _window_rows(xi: float, n: np.ndarray, nonrelativistic_radial: bool) -> tupl
     energies = (level.binding[:count], level.binding[count:], omega)
     if nonrelativistic_radial:
         ones, zeros = np.ones(count), np.zeros(count)
-        return *energies, ones, ones, ones, zeros, zeros, zeros[2:]
-    rows = _radial(xi, level)
-    gg, ff = (_norm(level.n_prime, level.energy, rows, part) for part in ("gg", "ff"))
-    plus, minus = _take(rows, slice(None, count)), _take(rows, slice(count, None))
-    g_pm = _overlap(plus, minus, "gg")
-    f_cross = _overlap(_take(plus, slice(None, -2)), _take(minus, slice(2, None)), "ff")
-    return *energies, gg[:count], gg[count:], g_pm, ff[:count], ff[count:], f_cross
+        return *energies, ones, ones, zeros, zeros
+    lam, g_poly, f_poly = _polynomials(xi, level)
+    gg, ff = (_norm(level, lam, g_poly, f_poly, part) for part in ("gg", "ff"))
+    return *energies, gg[:count], gg[count:], ff[:count], ff[count:]
+
+
+def _partner_overlaps(rows: _Radial, part: str, apart: int) -> np.ndarray:
+    """<p+(n)|p-(n + apart)> over the shells n of rows, p the g or f of part ('gg' or 'ff').
+
+    rows are _shell_radial's, the j+ rows and then the j- rows, and the
+    result runs over all but the last apart shells: apart = 0 gives <g+|g->
+    of each shell, apart = 2 with 'ff' the cross-shell F'(n).
+    """
+    count = rows.lam.size // 2
+    plus = _take(rows, slice(None, max(0, count - apart)))
+    return _overlap(plus, _take(rows, slice(count + apart, None)), part)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ differences between shells; (E - 1) t is smaller by the binding, about
 1e-7 there.  The density (density_grid, amplitudes) evolves each ket with
 the same binding energies.
 
-Everything time-dependent is evaluated from immutable precomputed tables,
+Everything time-dependent is evaluated from immutable coefficient tables,
 so one autocorrelation, spin or norm sample costs O(window size).  The
 three series are sums sum_n c_n e^{i f_n t}, all taken by _phase_sums.
 On a uniform TimeGrid of K samples it factors them: with
@@ -47,14 +47,17 @@ own, so a time's value is the same alone or in a batch.
 
 dirac_coulomb owns how a shell maps to its two partner states:
 PacketSpec checks its window with _shell_coupling and keeps the xi it
-returns, build_tables and the sweep's _sweep_tables take the binding
-energies, splittings and radial integrals from one _window_rows call per
-run of windows of one xi and form only the coefficients here, and
-timescales takes its splittings from _shell_splittings.  The density's
-radial data of the window's partners (PacketTables.rows, from
-_shell_radial) and its ket table (PacketTables.kets) are arrays built on
-first read; no CircularState is made for a packet.  timescales evaluates
-its Taylor jets for many (Z, N) points at once.
+returns, build_tables and the sweep's _sweep_tables store the binding
+energies, splittings and same-state radial integrals from one _window_rows
+call per run of windows of one xi, and timescales takes its splittings
+from _shell_splittings, which checks a sweep's points as arrays.  Every
+other table is derived on its first read: the radial data of the window's
+partners (PacketTables.rows, from _shell_radial), the cross-state
+integrals taken from those rows (_partner_overlaps), the coefficients
+formed here, and the density's ket table (PacketTables.kets).  So a sweep
+that reads only the small-component norms forms no log prefactor and no
+cross-state overlap, and no CircularState is made for a packet.
+timescales evaluates its Taylor jets for many (Z, N) points at once.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ import numpy as np
 from .constants import COMPTON_TIME_SECONDS, DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac_coulomb import (
     _each,
+    _partner_overlaps,
     _Radial,
     _require_int,
     _shell_coupling,
@@ -169,33 +173,45 @@ def build_weights(spec: PacketSpec) -> Weights:
 
 @dataclass(frozen=True, eq=False)
 class PacketTables:
-    """Immutable precomputed coefficient tables for one packet.
+    """Immutable coefficient tables for one packet, each built when first read.
 
     Per-l arrays run over the window orbitals l = weights.n - 1; cross
-    arrays (k_coef, omega_tilde) run over the orbitals with l + 2 still
-    inside the window.  Stored, each once:
+    arrays (f_prime, k_coef, omega_tilde) run over the orbitals with l + 2
+    still inside the window.  Stored, from one _window_rows call:
 
     - the binding energies e_plus = E+ - 1 and e_minus = E- - 1 of the two
       partners (not the energies E themselves: the rest-frame phases of
       A(t) and of the density) and the cancellation-free splitting omega
       (the phases of every other observable);
-    - omega_tilde = e_plus(l) - e_minus(l+2) = E+(l) - E-(l+2), formed
-      from the binding energies, and k_coef, the cross-shell F'_l
-      correction to <sigma_x>, <sigma_y> with its weights folded in;
-    - the coefficients of A(t) (acf_*), of the component norms (norm*)
-      and of <sigma_x>, <sigma_y> (sx_*); each already carries w_l^2 and
-      the radial integrals, so an observable is a dot product against phase
+    - the same-state radial integrals g_plus = <g+|g+>, g_minus, f_plus and
+      f_minus.
+
+    Derived on first read and then kept (functools.cached_property), so a
+    packet pays only for the tables it reads; small_norm reads norm3 and
+    norm4 alone:
+
+    - rows, the radial data of the window's partners (the j+ rows, then the
+      j- rows, as e_plus and e_minus), which feeds the density and the two
+      cross-state integrals: g_pm = <g+|g->, shell by shell, and
+      f_prime = F'_l = <f+(l)|f-(l+2)>;
+    - omega_tilde = e_plus(l) - e_minus(l+2) = E+(l) - E-(l+2), and k_coef,
+      the cross-shell F'_l correction to <sigma_x>, <sigma_y> with its
+      weights folded in;
+    - the coefficients of A(t) (acf_*), of the component norms (norm*) and
+      of <sigma_x>, <sigma_y> (sx_*); each already carries w_l^2 and the
+      radial integrals, so an observable is a dot product against phase
       factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos, and
       the sin(omega t) coefficient of <sigma_y> is sx_cos, which the
       property sy_sin returns too, only because bench/checks.py reads it.
-      <sigma_z> has no table: the properties sz_* derive it from norm*.
+      <sigma_z> has no table: the properties sz_* derive it from norm*;
+    - kets, the stationary-state expansion behind the density (a
+      _KetTable).
 
-    rows, the radial data of the window's partners (the j+ rows, then the
-    j- rows, as e_plus and e_minus), and kets, the stationary-state
-    expansion behind the density (a _KetTable), are built on first read
-    and then kept, so packets that never read them (the time series,
-    small-component norms and sweeps) pay nothing for them.  Tables
-    compare equal only to themselves, and hash by identity.
+    A row of every table depends only on xi and its shell, so the tables
+    are the same bits however the stored rows were sliced.  The tables of
+    build_tables(..., nonrelativistic_radial=True) store the limit values 1
+    and 0 of the same-state integrals and derive those of the cross-state
+    ones.  Tables compare equal only to themselves, and hash by identity.
     """
 
     spec: PacketSpec
@@ -203,17 +219,127 @@ class PacketTables:
     e_plus: np.ndarray
     e_minus: np.ndarray
     omega: np.ndarray
-    omega_tilde: np.ndarray
-    k_coef: np.ndarray
-    acf_plus: np.ndarray
-    acf_minus: np.ndarray
-    norm1_const: np.ndarray
-    norm2_const: np.ndarray
-    norm2_cos: np.ndarray
-    norm3: np.ndarray
-    norm4: np.ndarray
-    sx_const: np.ndarray
-    sx_cos: np.ndarray
+    g_plus: np.ndarray
+    g_minus: np.ndarray
+    f_plus: np.ndarray
+    f_minus: np.ndarray
+
+    @functools.cached_property
+    def rows(self) -> _Radial:
+        """Radial data of the window's partners: the j+ rows, then the j- rows."""
+        return _shell_radial(self.spec.xi, self.weights.n)
+
+    @functools.cached_property
+    def kets(self) -> _KetTable:
+        """The stationary-state expansion behind the density; see _KetTable."""
+        return _ket_table(self.spec, self.weights)
+
+    @functools.cached_property
+    def g_pm(self) -> np.ndarray:
+        """<g+|g->, the large-component overlap of each shell's two partners."""
+        return _freeze(_partner_overlaps(self.rows, "gg", 0))
+
+    @functools.cached_property
+    def f_prime(self) -> np.ndarray:
+        """F'_l = <f+(l)|f-(l+2)>, over all but the window's last two shells."""
+        return _freeze(_partner_overlaps(self.rows, "ff", 2))
+
+    @functools.cached_property
+    def _per_l(self) -> tuple[np.ndarray, ...]:
+        """l, 2l + 1, 2l + 3, s^2 = 2l / (2l + 1)^2 and w_l^2 over the window orbitals."""
+        lf = (self.weights.n - 1).astype(float)
+        l1 = 2.0 * lf + 1.0
+        return lf, l1, 2.0 * lf + 3.0, 2.0 * lf / (l1 * l1), self.weights.w * self.weights.w
+
+    @functools.cached_property
+    def omega_tilde(self) -> np.ndarray:
+        """E+(l) - E-(l+2), from the binding energies."""
+        return _freeze(self.e_plus[:-2] - self.e_minus[2:])
+
+    @functools.cached_property
+    def k_coef(self) -> np.ndarray:
+        """The F'_l coefficients of <sigma_x> and <sigma_y> at omega_tilde."""
+        a, b, w = self.spec.a, self.spec.b, self.weights.w
+        lc = self._per_l[0][:-2]
+        return _freeze(
+            2.0 * a * b * w[:-2] * w[2:] * self.f_prime
+            * np.sqrt((2.0 * lc + 2.0) * (2.0 * lc + 4.0) / ((2.0 * lc + 3.0) * (2.0 * lc + 5.0)))
+        )
+
+    # Same-component equal-label autocorrelation coefficients, by phase:
+    # c1 to c4 at e_plus, c1 to c3 at e_minus.
+    @functools.cached_property
+    def acf_plus(self) -> np.ndarray:
+        """The coefficients of A(t) at the phases -e_plus t."""
+        lf, l1, l3, s2, w2 = self._per_l
+        a2, b2 = self.spec.a * self.spec.a, self.spec.b * self.spec.b
+        c1_p = (a2 + b2 * s2) * self.g_plus - b2 * s2 * self.g_pm
+        c2_p = b2 / (l1 * l1) * self.g_plus + b2 * s2 * self.g_pm
+        c3_p = (a2 / l3 + 2.0 * b2 / (l1 * l3)) * self.f_plus
+        c4_p = (a2 * (2.0 * lf + 2.0) / l3 + b2 / l3) * self.f_plus
+        return _freeze(w2 * (c1_p + c2_p + c3_p + c4_p))
+
+    @functools.cached_property
+    def acf_minus(self) -> np.ndarray:
+        """The coefficients of A(t) at the phases -e_minus t."""
+        lf, l1, _, s2, w2 = self._per_l
+        b2 = self.spec.b * self.spec.b
+        c1_m = b2 * s2 * self.g_minus - b2 * s2 * self.g_pm
+        c2_m = b2 * (2.0 * lf / l1) ** 2 * self.g_minus + b2 * s2 * self.g_pm
+        c3_m = b2 * (2.0 * lf / l1) * self.f_minus
+        return _freeze(w2 * (c1_m + c2_m + c3_m))
+
+    # Equal-time component norms: <ci|ci>(t) = sum(const + cos_coef cos(omega t)).
+    @functools.cached_property
+    def norm1_const(self) -> np.ndarray:
+        """The constant terms of <c1|c1>."""
+        _, _, _, s2, w2 = self._per_l
+        a2, b2 = self.spec.a * self.spec.a, self.spec.b * self.spec.b
+        return _freeze(w2 * ((a2 + b2 * s2) * self.g_plus + b2 * s2 * self.g_minus))
+
+    @functools.cached_property
+    def norm2_const(self) -> np.ndarray:
+        """The constant terms of <c2|c2>."""
+        lf, l1, _, _, w2 = self._per_l
+        b2 = self.spec.b * self.spec.b
+        return _freeze(w2 * b2 * (self.g_plus + (2.0 * lf) ** 2 * self.g_minus) / (l1 * l1))
+
+    @functools.cached_property
+    def norm2_cos(self) -> np.ndarray:
+        """The cos(omega t) coefficients of <c2|c2>, and minus those of <c1|c1>."""
+        _, _, _, s2, w2 = self._per_l
+        return _freeze(2.0 * w2 * (self.spec.b * self.spec.b) * s2 * self.g_pm)
+
+    @functools.cached_property
+    def norm3(self) -> np.ndarray:
+        """The terms of the stationary <c3|c3>."""
+        lf, l1, l3, _, w2 = self._per_l
+        a2, b2 = self.spec.a * self.spec.a, self.spec.b * self.spec.b
+        return _freeze(
+            w2 * ((a2 / l3 + 2.0 * b2 / (l1 * l3)) * self.f_plus + b2 * (2.0 * lf / l1) * self.f_minus)
+        )
+
+    @functools.cached_property
+    def norm4(self) -> np.ndarray:
+        """The terms of the stationary <c4|c4>."""
+        lf, _, l3, _, w2 = self._per_l
+        a2, b2 = self.spec.a * self.spec.a, self.spec.b * self.spec.b
+        return _freeze(w2 * ((a2 * (2.0 * lf + 2.0) + b2) / l3 * self.f_plus))
+
+    # Spin expectation coefficients (delta corrections live in k_coef).
+    @functools.cached_property
+    def sx_const(self) -> np.ndarray:
+        """The constant terms of <sigma_x>."""
+        _, l1, l3, _, w2 = self._per_l
+        ab2 = 2.0 * self.spec.a * self.spec.b
+        return _freeze(w2 * ab2 * (self.g_plus / l1 - self.f_plus / l3))
+
+    @functools.cached_property
+    def sx_cos(self) -> np.ndarray:
+        """The cos(omega t) coefficients of <sigma_x>."""
+        lf, l1, _, _, w2 = self._per_l
+        ab2 = 2.0 * self.spec.a * self.spec.b
+        return _freeze(w2 * ab2 * (2.0 * lf / l1) * self.g_pm)
 
     @property
     def sy_sin(self) -> np.ndarray:
@@ -230,15 +356,17 @@ class PacketTables:
         """The cos(omega t) coefficients of <sigma_z>: -2 norm2_cos."""
         return _freeze(-2.0 * self.norm2_cos)
 
-    @functools.cached_property
-    def rows(self) -> _Radial:
-        """Radial data of the window's partners: the j+ rows, then the j- rows."""
-        return _shell_radial(self.spec.xi, self.weights.n)
+
+class _LimitTables(PacketTables):
+    """PacketTables whose cross-state integrals take their limits: <g+|g-> = 1, F' = 0."""
 
     @functools.cached_property
-    def kets(self) -> _KetTable:
-        """The stationary-state expansion behind the density; see _KetTable."""
-        return _ket_table(self.spec, self.weights)
+    def g_pm(self) -> np.ndarray:
+        return _freeze(np.ones(self.weights.n.size))
+
+    @functools.cached_property
+    def f_prime(self) -> np.ndarray:
+        return _freeze(np.zeros(max(0, self.weights.n.size - 2)))
 
 
 # Per shell, the ten kets' components, l_ang - l, m_ang - l, radial parts
@@ -309,14 +437,15 @@ def build_tables(
     spec: PacketSpec,
     nonrelativistic_radial: bool = False,
 ) -> PacketTables:
-    """Precompute every per-l coefficient a packet observable needs.
+    """The coefficient tables of spec: every per-l coefficient a packet observable needs.
 
     With nonrelativistic_radial=True the radial integrals are replaced by
     their limit values (all large-component overlaps 1, all
     small-component integrals 0) while energies keep their exact values;
     comparing observables against this variant isolates the genuinely
     relativistic radial corrections.  This is the one-spec sweep of
-    _sweep_tables: one _window_rows call over the window.
+    _sweep_tables: one _window_rows call over the window; the coefficient
+    tables are formed when first read.
     """
     return next(_sweep_tables([spec], nonrelativistic_radial))
 
@@ -327,14 +456,14 @@ def _sweep_tables(specs, nonrelativistic_radial: bool = False):
     A row of _window_rows depends only on xi and its shell, so consecutive
     specs of one coupling (equal spec.xi) share theirs: their windows,
     sorted, merge into runs of windows that overlap or touch, _window_rows
-    evaluates each run once, and each spec takes the slice of its run at
-    its window (F' the slice ending two shells early), bit for bit the rows
-    of its own window.  A sparse sweep evaluates its windows' shells only,
-    not the span between them.  Only one coupling's rows are alive at a
-    time; seeing where a coupling ends draws the first spec of the next
-    one.  A run spans at most _MAX_SHELLS shells, as one window may, and a
-    coupling's specs are taken _MAX_SHELLS at a time, so a long sweep of
-    one charge holds no more than a sweep over many.
+    evaluates each run once, and each spec stores the slice of its run at
+    its window, bit for bit the rows of its own window.  A sparse sweep
+    evaluates its windows' shells only, not the span between them.  Only
+    one coupling's rows are alive at a time; seeing where a coupling ends
+    draws the first spec of the next one.  A run spans at most _MAX_SHELLS
+    shells, as one window may, and a coupling's specs are taken
+    _MAX_SHELLS at a time, so a long sweep of one charge holds no more than
+    a sweep over many.
     """
     for xi, charge in itertools.groupby(specs, key=lambda spec: spec.xi):
         while group := list(itertools.islice(charge, _MAX_SHELLS)):
@@ -348,90 +477,13 @@ def _sweep_tables(specs, nonrelativistic_radial: bool = False):
             rows = [
                 _window_rows(xi, np.arange(lo, hi + 1), nonrelativistic_radial) for lo, hi in runs
             ]
+            kind = _LimitTables if nonrelativistic_radial else PacketTables
             for spec in group:
                 run = run_of[spec.window]
                 first = spec.window[0] - runs[run][0]
                 stop = first + spec.window[1] - spec.window[0] + 1
-                *per_shell, f_prime = rows[run]
-                yield _tables(
-                    spec,
-                    build_weights(spec),
-                    *(row[first:stop] for row in per_shell),
-                    f_prime[first : max(first, stop - 2)],
-                )
-
-
-def _tables(
-    spec: PacketSpec,
-    weights: Weights,
-    e_plus: np.ndarray,
-    e_minus: np.ndarray,
-    omega: np.ndarray,
-    g_plus: np.ndarray,
-    g_minus: np.ndarray,
-    g_pm: np.ndarray,
-    f_plus: np.ndarray,
-    f_minus: np.ndarray,
-    f_prime: np.ndarray,
-) -> PacketTables:
-    """The tables of spec from the partners' binding energies and radial integrals."""
-    a, b = spec.a, spec.b
-    lf = (weights.n - 1).astype(float)
-    lc = lf[:-2]
-    w = weights.w
-    omega_tilde = e_plus[:-2] - e_minus[2:]
-    k_coef = (
-        2.0 * a * b * w[:-2] * w[2:] * f_prime
-        * np.sqrt((2.0 * lc + 2.0) * (2.0 * lc + 4.0) / ((2.0 * lc + 3.0) * (2.0 * lc + 5.0)))
-    )
-
-    l1 = 2.0 * lf + 1.0
-    l3 = 2.0 * lf + 3.0
-    s2 = 2.0 * lf / (l1 * l1)
-    w2 = w * w
-    a2, b2, ab2 = a * a, b * b, 2.0 * a * b
-
-    # Same-component equal-label autocorrelation coefficients, by phase.
-    c1_p = (a2 + b2 * s2) * g_plus - b2 * s2 * g_pm
-    c1_m = b2 * s2 * g_minus - b2 * s2 * g_pm
-    c2_p = b2 / (l1 * l1) * g_plus + b2 * s2 * g_pm
-    c2_m = b2 * (2.0 * lf / l1) ** 2 * g_minus + b2 * s2 * g_pm
-    c3_p = (a2 / l3 + 2.0 * b2 / (l1 * l3)) * f_plus
-    c3_m = b2 * (2.0 * lf / l1) * f_minus
-    c4_p = (a2 * (2.0 * lf + 2.0) / l3 + b2 / l3) * f_plus
-
-    acf_plus = w2 * (c1_p + c2_p + c3_p + c4_p)
-    acf_minus = w2 * (c1_m + c2_m + c3_m)
-
-    # Equal-time component norms: <ci|ci>(t) = sum(const + cos_coef cos(omega t)).
-    norm1_const = w2 * ((a2 + b2 * s2) * g_plus + b2 * s2 * g_minus)
-    norm2_const = w2 * b2 * (g_plus + (2.0 * lf) ** 2 * g_minus) / (l1 * l1)
-    norm2_cos = 2.0 * w2 * b2 * s2 * g_pm
-    norm3 = w2 * ((a2 / l3 + 2.0 * b2 / (l1 * l3)) * f_plus + b2 * (2.0 * lf / l1) * f_minus)
-    norm4 = w2 * ((a2 * (2.0 * lf + 2.0) + b2) / l3 * f_plus)
-
-    # Spin expectation coefficients (delta corrections live in k_coef).
-    sx_const = w2 * ab2 * (g_plus / l1 - f_plus / l3)
-    sx_cos = w2 * ab2 * (2.0 * lf / l1) * g_pm
-
-    return PacketTables(
-        spec=spec,
-        weights=weights,
-        e_plus=_freeze(e_plus),
-        e_minus=_freeze(e_minus),
-        omega=_freeze(omega),
-        omega_tilde=_freeze(omega_tilde),
-        k_coef=_freeze(k_coef),
-        acf_plus=_freeze(acf_plus),
-        acf_minus=_freeze(acf_minus),
-        norm1_const=_freeze(norm1_const),
-        norm2_const=_freeze(norm2_const),
-        norm2_cos=_freeze(norm2_cos),
-        norm3=_freeze(norm3),
-        norm4=_freeze(norm4),
-        sx_const=_freeze(sx_const),
-        sx_cos=_freeze(sx_cos),
-    )
+                weights = build_weights(spec)
+                yield kind(spec, weights, *(_freeze(row[first:stop]) for row in rows[run]))
 
 
 @dataclass(frozen=True)
@@ -477,7 +529,7 @@ def _numbers(*series: np.ndarray) -> tuple:
     return tuple(values.item() if np.ndim(values) == 0 else values for values in series)
 
 
-def _phase_sums(freqs, coefs, t) -> list[np.ndarray]:
+def _phase_sums(freqs, coefs, t, real: bool = False) -> list[np.ndarray]:
     """sum_n c[n] exp(i freqs[n] t) for each row c of coefs, in the shape of t.
 
     The rows share freqs, and so their exponentials.  On a TimeGrid,
@@ -488,7 +540,8 @@ def _phase_sums(freqs, coefs, t) -> list[np.ndarray]:
     recurrence, so the phase error is the rounding of E t whatever count
     is.  Any other times are summed each on its own: the cos and sin of
     each phase, each time's row reduced by np.vecdot, so a value does not
-    depend on the other times of the call.
+    depend on the other times of the call.  With real, only the real
+    parts are returned, and the array path takes no sine.
     """
     if isinstance(t, TimeGrid):
         count = t.samples
@@ -499,10 +552,14 @@ def _phase_sums(freqs, coefs, t) -> list[np.ndarray]:
         baby = dt * np.arange(width, dtype=float)
         left = np.exp(1j * np.multiply.outer(giant, freqs))
         right = np.exp(1j * np.multiply.outer(freqs, baby))
-        return [((left * c) @ right).ravel()[:count] for c in coefs]
+        sums = [((left * c) @ right).ravel()[:count] for c in coefs]
+        return [values.real for values in sums] if real else sums
     arr = _as_time_array(t)
     phase = np.multiply.outer(arr.ravel(), freqs)
-    cos, sin = np.cos(phase), np.sin(phase)
+    cos = np.cos(phase)
+    if real:
+        return [np.vecdot(cos, c).reshape(arr.shape) for c in coefs]
+    sin = np.sin(phase)
     return [(np.vecdot(cos, c) + 1j * np.vecdot(sin, c)).reshape(arr.shape) for c in coefs]
 
 
@@ -529,11 +586,11 @@ def component_norms(tables: PacketTables, t):
     population at the per-shell splitting frequencies.  The four always
     sum to 1 (unitarity).
     """
-    (swing,) = _phase_sums(tables.omega, [tables.norm2_cos], t)
+    (swing,) = _phase_sums(tables.omega, [tables.norm2_cos], t, real=True)
     small = small_norm(tables)
     return _numbers(
-        float(np.sum(tables.norm1_const)) - swing.real,
-        float(np.sum(tables.norm2_const)) + swing.real,
+        float(np.sum(tables.norm1_const)) - swing,
+        float(np.sum(tables.norm2_const)) + swing,
         np.full(swing.shape, small.c3_norm),
         np.full(swing.shape, small.c4_norm),
     )

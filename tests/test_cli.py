@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracpacket import __version__, packet
+from diracpacket import __version__, dirac_coulomb, packet
 from diracpacket.cli import _MANIFEST_KEYS, main, parse_range
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -362,11 +362,18 @@ def test_supercritical_charge_reports_and_exits(capsys):
             ["--Z", "275:280", "--N", "3:4"],
             "supercritical coupling: Z*alpha = 2.00677194 >= |kappa| = 2 (Z = 275, kappa = 2)",
         ),
+        # The sweep's one bad point is its last.
+        (
+            ["--Z", "1:138", "--N", "2"],
+            "supercritical coupling: Z*alpha = 1.00703465 >= |kappa| = 1 (Z = 138, kappa = 1)",
+        ),
         (["--Z", "136:139", "--N", "1:3"], "require N >= 2 (an integer), got 1"),
         (["--Z", "1:4", "--N", "2:6", "--kmax", "7"], "require 1 <= k_max <= 6, got 7"),
         (["--Z", "1", "--N", "2", "--kmax", "0"], "require 1 <= k_max <= 6, got 0"),
     ],
-    ids=["supercritical-z138", "supercritical-z275", "n-below-2", "kmax-7", "kmax-0"],
+    ids=[
+        "supercritical-z138", "supercritical-z275", "last-point", "n-below-2", "kmax-7", "kmax-0",
+    ],
 )
 def test_timescales_sweep_reports_its_first_bad_point(argv, message, capsys):
     rc, out, err = run_cli(["timescales", *argv], capsys)
@@ -498,9 +505,25 @@ def test_smallnorm_calls_window_rows_once_per_run(argv, runs, tmp_path, monkeypa
         calls.append((int(n[0]), int(n[-1])))
         return window_rows(xi, n, nonrelativistic_radial)
 
+    # Every transcendental of the array kernels goes through _each.  The
+    # levels take hypot; the radial log prefactors (log, lgamma, log1p) and
+    # _overlap (log, lgamma, exp) are not needed for the small-component
+    # norms, which read same-state integrals only.
+    transcendentals = set()
+    each = dirac_coulomb._each
+
+    def recorded_each(fn, *args):
+        transcendentals.add(fn.__name__)
+        return each(fn, *args)
+
     monkeypatch.setattr(packet, "_window_rows", recorded)
+    monkeypatch.setattr(dirac_coulomb, "_each", recorded_each)
+    monkeypatch.setattr(
+        dirac_coulomb, "_overlap", lambda *args: pytest.fail("smallnorm evaluated _overlap")
+    )
     rc, _, _ = run_cli(["smallnorm", *argv, "--out", str(tmp_path / "out.csv")], capsys)
     assert rc == 0 and calls == runs
+    assert transcendentals == {"hypot"}
 
 
 def test_smallnorm_sweep_reports_its_first_bad_charge(tmp_path, capsys):

@@ -18,6 +18,7 @@ import pytest
 
 from diracpacket import (
     COMPTON_TIME_SECONDS,
+    DEFAULT_CONSTANTS,
     Branch,
     PacketSpec,
     PhysicalConstants,
@@ -686,6 +687,23 @@ def test_timescale_validation():
         timescales(True, 5)
     with pytest.raises(ValueError, match="k_max"):
         timescales(92, 20, k_max=True)
+    # A sweep's points are checked as columns; a bad one still gets the
+    # scalar checks' own message, also when numpy would coerce its column.
+    for Z, N, message in [
+        ([92], [20.0], "require N >= 2 (an integer), got 20.0"),
+        ([np.bool_(True)], [5], "require Z >= 1 (an integer), got np.True_"),
+        ([92], [100_001], "require n <= 100000, got 100001"),
+        ([92, True], [20, 20], "require Z >= 1 (an integer), got True"),
+        ([92, 92], [20, 20.0], "require N >= 2 (an integer), got 20.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            packet._timescale_rows(Z, N, 4, DEFAULT_CONSTANTS, "j_plus")
+        assert str(info.value) == message
+        if len(Z) == 1:
+            with pytest.raises(ValueError) as info:
+                timescales(Z[0], N[0])
+            assert str(info.value) == message
+    assert timescales(np.int32(92), np.int32(20)) == timescales(92, 20)
 
 
 def test_timescales_refuse_a_zero_derivative(monkeypatch):

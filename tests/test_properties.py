@@ -10,7 +10,9 @@ assembled from the scalar binding energies, splittings and overlaps of the
 window's states, for N up to 500, and the rows of a sub-range of shells
 must be a slice of the rows of the whole range.  A sweep's tables, sliced
 from one _window_rows call per run of windows of a charge, must equal
-those of each spec's own window, bit for bit.  Specs that PacketSpec
+those of each spec's own window, bit for bit.  Both comparisons run over
+TABLE_NAMES, every table stored or derived on first read, not over the
+dataclass fields, which hold the stored ones only.  Specs that PacketSpec
 rejects (supercritical window shells) are skipped.
 """
 
@@ -37,10 +39,30 @@ from diracpacket import (
 )
 from diracpacket.constants import DEFAULT_CONSTANTS
 from diracpacket.dirac_coulomb import _coupling, _window_rows
-from diracpacket.packet import _sweep_tables, _tables, build_weights
+from diracpacket.packet import PacketTables, _LimitTables, _sweep_tables, build_weights
 from oracles import ket_states
 
 TOL = 1e-12
+
+# Every table of PacketTables: the stored ones, then those derived on first read.
+TABLE_NAMES = (
+    "e_plus", "e_minus", "omega", "g_plus", "g_minus", "f_plus", "f_minus",
+    "g_pm", "f_prime", "omega_tilde", "k_coef", "acf_plus", "acf_minus",
+    "norm1_const", "norm2_const", "norm2_cos", "norm3", "norm4",
+    "sx_const", "sx_cos", "sy_sin", "sz_const", "sz_cos",
+)
+
+
+def _assert_same_bits(got, want, name) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def _assert_same_tables(got: PacketTables, want: PacketTables) -> None:
+    stored = {f.name for f in fields(got) if isinstance(getattr(got, f.name), np.ndarray)}
+    assert stored <= set(TABLE_NAMES)
+    for name in TABLE_NAMES:
+        _assert_same_bits(getattr(got, name), getattr(want, name), name)
 
 
 def _spec(**kwargs) -> PacketSpec:
@@ -122,25 +144,23 @@ def test_array_tables_match_scalar_states_bit_for_bit(Z, N, sigma_g, theta):
     plus = [by_row[row] for row in range(count)]
     minus = [by_row[row] for row in range(count, 2 * count)]
     sets = [overlap_set(p, m) for p, m in zip(plus, minus)]
-    same_l = [
-        np.array([getattr(o, name) for o in sets])
+    same_l = {
+        name: np.array([getattr(o, name) for o in sets])
         for name in ("g_plus", "g_minus", "g_pm", "f_plus", "f_minus")
-    ]
-    rebuilt = _tables(
+    }
+    f_prime = np.array([overlap_closed_form(p, m, "ff") for p, m in zip(plus, minus[2:])])
+    # The cross-state integrals are derived from tables.rows on first read.
+    _assert_same_bits(tables.g_pm, same_l.pop("g_pm"), "g_pm")
+    _assert_same_bits(tables.f_prime, f_prime, "f_prime")
+    rebuilt = PacketTables(
         spec,
         tables.weights,
-        np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in plus]),
-        np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in minus]),
-        np.array([fine_splitting(Z, int(n)) for n in tables.weights.n]),
-        *same_l,
-        np.array([overlap_closed_form(p, m, "ff") for p, m in zip(plus, minus[2:])]),
+        e_plus=np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in plus]),
+        e_minus=np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in minus]),
+        omega=np.array([fine_splitting(Z, int(n)) for n in tables.weights.n]),
+        **same_l,
     )
-    for field in fields(tables):
-        value = getattr(tables, field.name)
-        if isinstance(value, np.ndarray):
-            expected = getattr(rebuilt, field.name)
-            assert value.dtype == expected.dtype and value.shape == expected.shape, field.name
-            assert value.tobytes() == expected.tobytes(), field.name
+    _assert_same_tables(tables, rebuilt)
 
 
 @given(
@@ -156,12 +176,16 @@ def test_window_rows_of_a_sub_range_are_a_slice(Z, start, shells, data):
     n = np.arange(start, start + shells)
     whole = _window_rows(xi, n, False)
     part = _window_rows(xi, n[a:b], False)
-    # Eight per-shell arrays, then F' over all but the last two shells.
-    expected = [rows[a:b] for rows in whole[:-1]] + [whole[-1][a : max(a, b - 2)]]
-    assert len(part) == len(expected) == 9
-    for got, want in zip(part, expected):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    # Seven per-shell arrays: the energies and the same-state integrals.
+    assert len(part) == len(whole) == 7
+    for got, want in zip(part, whole):
+        _assert_same_bits(got, want[a:b], "rows")
+    # The cross-state integrals come from each window's radial rows: g_pm
+    # per shell, F' over all but the last two shells.
+    whole = build_tables(PacketSpec(Z=Z, N=start, window=(start, start + shells - 1)))
+    part = build_tables(PacketSpec(Z=Z, N=start + a, window=(start + a, start + b - 1)))
+    _assert_same_bits(part.g_pm, whole.g_pm[a:b], "g_pm")
+    _assert_same_bits(part.f_prime, whole.f_prime[a : max(a, b - 2)], "f_prime")
 
 
 @st.composite
@@ -204,15 +228,9 @@ def test_sweep_tables_match_each_window_bit_for_bit(specs):
             weights = build_weights(spec)
             xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
             rows = _window_rows(xi, weights.n, nonrelativistic_radial)
-            expected = _tables(spec, weights, *rows)
-            for field in fields(tables):
-                value = getattr(tables, field.name)
-                if field.name == "weights":
-                    pairs = [(value.n, weights.n), (value.w, weights.w)]
-                elif isinstance(value, np.ndarray):
-                    pairs = [(value, getattr(expected, field.name))]
-                else:
-                    continue
-                for got, want in pairs:
-                    assert got.dtype == want.dtype and got.shape == want.shape, field.name
-                    assert got.tobytes() == want.tobytes(), field.name
+            expected = (_LimitTables if nonrelativistic_radial else PacketTables)(
+                spec, weights, *rows
+            )
+            _assert_same_bits(tables.weights.n, weights.n, "weights.n")
+            _assert_same_bits(tables.weights.w, weights.w, "weights.w")
+            _assert_same_tables(tables, expected)
