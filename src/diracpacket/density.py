@@ -66,8 +66,9 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
     complex scalars for all-scalar input, four complex arrays otherwise.
 
     Every ket of the expansion is summed; the small components are kept,
-    so sum(|c_i|^2) integrates to one over all space.  Meant for modest
-    point counts (the angular factors are evaluated pointwise); use
+    so sum(|c_i|^2) integrates to one over all space.  The harmonics are
+    evaluated once per point of the broadcast (theta, phi) shape, so many
+    radii at a few angles cost little; meant for modest angle counts, use
     :func:`density_grid` for full planes.
     """
     r_in, theta_in, phi_in = r, theta, phi
@@ -75,12 +76,14 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
+    angles = np.broadcast_shapes(theta.shape, phi.shape)
     t = _single_time(t)
 
-    flat_t = np.broadcast_to(theta, shape).ravel()
-    flat_p = np.broadcast_to(phi, shape).ravel()
+    flat_t = np.broadcast_to(theta, angles).ravel()
+    flat_p = np.broadcast_to(phi, angles).ravel()
 
-    # Radial profiles and harmonics: many kets share each.
+    # Radial profiles over the radii and harmonics over the angles, each
+    # shared by many kets; their products broadcast to the full shape.
     terms = _terms(tables, t)
     radial = [eval_radial(_take(tables.rows, i), r) for i in range(tables.rows.lam.size)]
     harmonics = {
@@ -88,7 +91,7 @@ def amplitudes(tables: PacketTables, r, theta, phi, t):
             (sph_harm(l, m, tt, pp) for tt, pp in zip(flat_t, flat_p)),
             dtype=complex,
             count=flat_t.size,
-        ).reshape(shape)
+        ).reshape(angles)
         for l, m in {term[1:3] for term in terms}
     }
 
