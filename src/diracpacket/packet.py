@@ -716,10 +716,13 @@ def _energy_jet_plus(xi: np.ndarray, n0: np.ndarray, order: int) -> _Jet:
 
 
 def _energy_jet_minus(xi: np.ndarray, n0: np.ndarray, order: int) -> _Jet:
+    # gamma = sqrt((u - xi)(u + xi)), u = n - 1, as _levels forms it: u^2 - xi^2
+    # cancels near u = xi.  E- = 1 / sqrt(1 + xi^2 / d^2), not d / sqrt(d^2 + xi^2),
+    # whose quotient-rule coefficients cancel down to 1 - E^2 ~ xi^2 / n^2.
     n = _Jet.variable(n0, order)
     u = n - 1.0
-    d = (u * u - xi * xi).sqrt() + 1.0
-    return d / (d * d + xi * xi).sqrt()
+    d = ((u - xi) * (u + xi)).sqrt() + 1.0
+    return 1.0 / ((xi * xi) / (d * d) + 1.0).sqrt()
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from diracpacket import (
 from oracles import ket_states
 
 GOLDEN = "4da912de467c1175a0bbe84cb0693f970aca950ce8eaa21e5b964825c936e3ab"
-LABEL_GOLDEN = "8056f0004301b22e9f10de8a0fcf15f6e0c5a994d393cedd99cca5051b993829"
+LABEL_GOLDEN = "b3916281a315698d147817aa9c9f2a39f7bb021b8b2290f88f44f366b0271b40"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)
 N_VALUES = (2, 3, 5, 20, 41, 137, 300)

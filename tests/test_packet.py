@@ -668,6 +668,51 @@ def test_energy_derivatives_against_richardson_fd():
                 assert analytic == pytest.approx(fd, rel=1e-6), (branch, k)
 
 
+# Jet operations in each branch's energy curve: E+ = sqrt(1 - xi^2 / (n n))
+# takes four (n n, the quotient, 1 - ., sqrt); E- = 1 / sqrt(xi^2 / d^2 + 1)
+# with d = sqrt((u - xi)(u + xi)) + 1 takes ten; the average adds one sum
+# (the halving is exact).
+_JET_OPS = {"j_plus": 4, "averaged": 4 + 10 + 1}
+
+
+@pytest.mark.parametrize("branch", ["j_plus", "averaged"])
+def test_timescales_against_mpmath_derivatives(branch):
+    """t[k] on both branches against 60-digit mpmath derivatives of the
+    Sommerfeld energies, at the library's own xi.
+
+    At order k a jet operation forms a coefficient from at most k + 1
+    terms, each rounded once.  Counting every rounding at full weight, with
+    no cancellation between terms (the two curves' coefficients share their
+    sign, so their average adds none), a branch of m operations is off by at
+    most m (k + 1) eps, and 2 pi k! / |c_k| adds three roundings more.
+    Until the j- curve took gamma in product form and E- as
+    1 / sqrt(1 + xi^2 / d^2), the averaged branch was off by 2e-7 at
+    (1, 500) and 5e-13 at (137, 2).
+    """
+    eps = np.finfo(float).eps
+    with mp.workdps(60):
+        for Z in (1, 92, 137):
+            xi = mp.mpf(Z * DEFAULT_CONSTANTS.alpha)
+
+            def e_plus(n):
+                return mp.sqrt(1 - (xi / n) ** 2)
+
+            def e_minus(n):
+                d = mp.sqrt((n - 1) ** 2 - xi * xi) + 1
+                return d / mp.sqrt(d * d + xi * xi)
+
+            def curve(n):
+                return e_plus(n) if branch == "j_plus" else (e_plus(n) + e_minus(n)) / 2
+
+            for N in (2, 20, 500):
+                ts = timescales(Z, N, k_max=6, branch=branch)
+                derivatives = list(mp.diffs(curve, N, 6))
+                for k in range(1, 7):
+                    reference = 2 * mp.pi * math.factorial(k) / abs(derivatives[k])
+                    error = abs(float(ts.t[k] / reference - 1))
+                    assert error <= (_JET_OPS[branch] * (k + 1) + 3) * eps, (Z, N, k, error)
+
+
 def test_timescale_validation():
     import diracpacket
 
