@@ -206,11 +206,9 @@ def _shell_splittings(Z, N, constants: PhysicalConstants) -> tuple[np.ndarray, n
     fails anywhere, the scalar checks run point by point and raise the
     first bad point's own message.
     """
-    z, n = np.asarray(Z), np.asarray(N)
-    if not (
-        _integers(Z)
-        and _integers(N)
-        and np.all((n >= 2) & (z >= 1) & (n <= _MAX_N) & (z * constants.alpha < n - 1))
+    z, n = _integer_column(Z), _integer_column(N)
+    if z is None or n is None or not np.all(
+        (n >= 2) & (z >= 1) & (n <= _MAX_N) & (z * constants.alpha < n - 1)
     ):
         for charge, shell in zip(Z, N):
             _require_int("N", shell, 2)
@@ -219,11 +217,19 @@ def _shell_splittings(Z, N, constants: PhysicalConstants) -> tuple[np.ndarray, n
     return xi, _shells(xi, n)[1]
 
 
-def _integers(values) -> bool:
-    """Whether every value passes _require_int's type rule: an int or np.integer, not a bool."""
-    return all(
+def _integer_column(values) -> np.ndarray | None:
+    """values as an integer array if each passes _require_int's type rule, else None.
+
+    The types are tested on values, not on the array: numpy turns a bool
+    among ints into an int.  A column of ints past the int64 range, which
+    numpy keeps as objects or floats, is None too.
+    """
+    column = np.asarray(values)
+    if column.dtype.kind in "iu" and all(
         issubclass(kind, (int, np.integer)) and kind is not bool for kind in set(map(type, values))
-    )
+    ):
+        return column
+    return None
 
 
 def binding_energy(

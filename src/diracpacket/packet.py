@@ -209,9 +209,10 @@ class PacketTables:
 
     A row of every table depends only on xi and its shell, so the tables
     are the same bits however the stored rows were sliced.  The tables of
-    build_tables(..., nonrelativistic_radial=True) store the limit values 1
-    and 0 of the same-state integrals and derive those of the cross-state
-    ones.  Tables compare equal only to themselves, and hash by identity.
+    build_tables(..., nonrelativistic_radial=True) store the limits 1 (g)
+    and 0 (f) of the same-state integrals and take the same limits for the
+    cross-state ones (_LimitTables).  Tables compare equal only to
+    themselves, and hash by identity.
     """
 
     spec: PacketSpec
@@ -717,8 +718,8 @@ def _energy_jet_plus(xi: np.ndarray, n0: np.ndarray, order: int) -> _Jet:
 
 def _energy_jet_minus(xi: np.ndarray, n0: np.ndarray, order: int) -> _Jet:
     # gamma = sqrt((u - xi)(u + xi)), u = n - 1, as _levels forms it: u^2 - xi^2
-    # cancels near u = xi.  E- = 1 / sqrt(1 + xi^2 / d^2), not d / sqrt(d^2 + xi^2),
-    # whose quotient-rule coefficients cancel down to 1 - E^2 ~ xi^2 / n^2.
+    # cancels near u = xi.  E- = 1 / sqrt(1 + xi^2 / d^2): the quotient rule on
+    # d / sqrt(d^2 + xi^2) cancels down to 1 - E^2 ~ xi^2 / n^2.
     n = _Jet.variable(n0, order)
     u = n - 1.0
     d = ((u - xi) * (u + xi)).sqrt() + 1.0

@@ -685,9 +685,6 @@ def test_timescales_against_mpmath_derivatives(branch):
     no cancellation between terms (the two curves' coefficients share their
     sign, so their average adds none), a branch of m operations is off by at
     most m (k + 1) eps, and 2 pi k! / |c_k| adds three roundings more.
-    Until the j- curve took gamma in product form and E- as
-    1 / sqrt(1 + xi^2 / d^2), the averaged branch was off by 2e-7 at
-    (1, 500) and 5e-13 at (137, 2).
     """
     eps = np.finfo(float).eps
     with mp.workdps(60):
@@ -740,6 +737,8 @@ def test_timescale_validation():
         ([92], [100_001], "require n <= 100000, got 100001"),
         ([92, True], [20, 20], "require Z >= 1 (an integer), got True"),
         ([92, 92], [20, 20.0], "require N >= 2 (an integer), got 20.0"),
+        # A charge past the double range comes after the first bad point.
+        ([5, 10**400], [1, 20], "require N >= 2 (an integer), got 1"),
     ]:
         with pytest.raises(ValueError) as info:
             packet._timescale_rows(Z, N, 4, DEFAULT_CONSTANTS, "j_plus")
