@@ -221,8 +221,9 @@ def _integer_column(values) -> np.ndarray | None:
     """values as an integer array if each passes _require_int's type rule, else None.
 
     The types are tested on values, not on the array: numpy turns a bool
-    among ints into an int.  A column of ints past the int64 range, which
-    numpy keeps as objects or floats, is None too.
+    among ints into an int.  A column numpy holds as objects or floats, as
+    it does ints past the uint64 range or mixed with negatives past int64,
+    is None too.
     """
     column = np.asarray(values)
     if column.dtype.kind in "iu" and all(
