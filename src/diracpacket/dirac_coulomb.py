@@ -56,7 +56,8 @@ analytically, so it needs the polynomials alone).  This module owns the
 circular shell layout: only _shells labels a shell's two partners and
 only _shell_coupling checks that a range of shells binds them (returning
 xi), and _window_rows, _shell_radial, _partner_overlaps and
-_shell_splittings hand the packet module whole shells.
+_shell_splittings hand the packet module whole shells, with the exact
+integrals only: the packet module owns their nonrelativistic limits.
 state_from_kappa, overlap_closed_form and the energies call the kernels
 with one row, so each formula has one home.  Every transcendental goes
 through math one element at a time, which makes a result independent of
@@ -553,28 +554,24 @@ def _norm(level, lam, g_poly, f_poly, part: str) -> np.ndarray:
     return moments * side / (4.0 * big_n * s)
 
 
-def _window_rows(xi: float, n: np.ndarray, nonrelativistic_radial: bool) -> tuple:
+def _window_rows(xi: float, n: np.ndarray) -> tuple:
     """Binding energies E+ - 1, E- - 1, omega and the same-state integrals of the shells n.
 
-    n is a range of shells.  The integrals are <g+|g+>, <g-|g->, <f+|f+>
-    and <f-|f->; with nonrelativistic_radial, their limits 1 (g) and 0 (f).
-    They read the states' polynomials alone (see _norm), so no log
-    prefactor is formed here; the cross-state integrals, which need them,
-    are _partner_overlaps of _shell_radial rows, which PacketTables takes on
-    first read.  A row depends only on xi and its shell, so a sub-range's
-    rows are a slice of these: packet._sweep_tables calls this once per run
-    of windows of one charge and slices each window's rows from the run's,
-    and build_tables is its one-window case.
+    n is any increasing array of distinct shells.  The integrals are
+    <g+|g+>, <g-|g->, <f+|f+> and <f-|f->.  They read the states'
+    polynomials alone (see _norm), so no log prefactor is formed here; the
+    cross-state integrals, which need them, are _partner_overlaps of
+    _shell_radial rows, which PacketTables takes on first read.  A row
+    depends only on (xi, shell), so the rows of any subset of n are a take
+    of n's rows: packet._sweep_tables calls this once on the union of a
+    chunk's windows and slices each window's rows from it.
     """
     level, omega = _shells(xi, n)
     count = len(n)
-    energies = (level.binding[:count], level.binding[count:], omega)
-    if nonrelativistic_radial:
-        ones, zeros = np.ones(count), np.zeros(count)
-        return *energies, ones, ones, zeros, zeros
     lam, g_poly, f_poly = _polynomials(xi, level)
     gg, ff = (_norm(level, lam, g_poly, f_poly, part) for part in ("gg", "ff"))
-    return *energies, gg[:count], gg[count:], ff[:count], ff[count:]
+    e = level.binding
+    return e[:count], e[count:], omega, gg[:count], gg[count:], ff[:count], ff[count:]
 
 
 def _partner_overlaps(rows: _Radial, part: str, apart: int) -> np.ndarray:

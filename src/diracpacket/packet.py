@@ -49,14 +49,15 @@ dirac_coulomb owns how a shell maps to its two partner states:
 PacketSpec checks its window with _shell_coupling and keeps the xi it
 returns, build_tables and the sweep's _sweep_tables store the binding
 energies, splittings and same-state radial integrals from one _window_rows
-call per run of windows of one xi, and timescales takes its splittings
-from _shell_splittings, which checks a sweep's points as arrays.  Every
-other table is derived on its first read: the radial data of the window's
-partners (PacketTables.rows, from _shell_radial), the cross-state
-integrals taken from those rows (_partner_overlaps), the coefficients
-formed here, and the density's ket table (PacketTables.kets).  So a sweep
-that reads only the small-component norms forms no log prefactor and no
-cross-state overlap, and no CircularState is made for a packet.
+call per chunk of specs of one xi, over the shells of the chunk's windows,
+and timescales takes its splittings from _shell_splittings, which checks a
+sweep's points as arrays.  Every other table is derived on its first
+read: the radial data of the window's partners (PacketTables.rows, from
+_shell_radial), the cross-state integrals taken from those rows
+(_partner_overlaps), the coefficients formed here, and the density's ket
+table (PacketTables.kets).  So a sweep that reads only the small-component
+norms forms no log prefactor and no cross-state overlap, and no
+CircularState is made for a packet.  The radial limits are decided here.
 timescales evaluates its Taylor jets for many (Z, N) points at once.
 """
 
@@ -209,10 +210,10 @@ class PacketTables:
 
     A row of every table depends only on xi and its shell, so the tables
     are the same bits however the stored rows were sliced.  The tables of
-    build_tables(..., nonrelativistic_radial=True) store the limits 1 (g)
-    and 0 (f) of the same-state integrals and take the same limits for the
-    cross-state ones (_LimitTables).  Tables compare equal only to
-    themselves, and hash by identity.
+    build_tables(..., nonrelativistic_radial=True) are _LimitTables: the
+    sweep stores the limits 1 (g) and 0 (f) of the same-state integrals,
+    and _LimitTables takes them for the cross-state ones.  Tables compare
+    equal only to themselves, and hash by identity.
     """
 
     spec: PacketSpec
@@ -454,37 +455,35 @@ def build_tables(
 def _sweep_tables(specs, nonrelativistic_radial: bool = False):
     """Yield build_tables(spec) for each of specs, in order.
 
-    A row of _window_rows depends only on xi and its shell, so consecutive
-    specs of one coupling (equal spec.xi) share theirs: their windows,
-    sorted, merge into runs of windows that overlap or touch, _window_rows
-    evaluates each run once, and each spec stores the slice of its run at
+    Consecutive specs of one coupling (equal spec.xi) are taken
+    _MAX_SHELLS at a time, a chunk.  A row of _window_rows depends only on
+    xi and its shell, so one call over the shells that the chunk's windows
+    cover serves them all, and each spec stores the slice of those rows at
     its window, bit for bit the rows of its own window.  A sparse sweep
     evaluates its windows' shells only, not the span between them.  Only
-    one coupling's rows are alive at a time; seeing where a coupling ends
-    draws the first spec of the next one.  A run spans at most _MAX_SHELLS
-    shells, as one window may, and a coupling's specs are taken
-    _MAX_SHELLS at a time, so a long sweep of one charge holds no more than
-    a sweep over many.
+    one chunk's rows are alive at a time; seeing where a coupling ends
+    draws the first spec of the next one.  Under nonrelativistic_radial
+    the same-state integrals are replaced here by their limits, 1 (g) and
+    0 (f), and _LimitTables takes the cross-state ones.
     """
+    kind = _LimitTables if nonrelativistic_radial else PacketTables
     for xi, charge in itertools.groupby(specs, key=lambda spec: spec.xi):
         while group := list(itertools.islice(charge, _MAX_SHELLS)):
-            runs: list[list[int]] = []
-            run_of = {}
-            for lo, hi in sorted({spec.window for spec in group}):
-                if not runs or lo > runs[-1][1] + 1 or hi - runs[-1][0] >= _MAX_SHELLS:
-                    runs.append([lo, hi])
-                runs[-1][1] = max(runs[-1][1], hi)
-                run_of[lo, hi] = len(runs) - 1
-            rows = [
-                _window_rows(xi, np.arange(lo, hi + 1), nonrelativistic_radial) for lo, hi in runs
-            ]
-            kind = _LimitTables if nonrelativistic_radial else PacketTables
+            windows = {spec.window for spec in group}
+            lo = min(windows)[0]
+            covered = np.zeros(max(last for _, last in windows) - lo + 1, dtype=bool)
+            for first, last in windows:
+                covered[first - lo : last - lo + 1] = True
+            # The offset of each covered shell among the covered ones.
+            offset = covered.cumsum() - 1
+            rows = _window_rows(xi, lo + covered.nonzero()[0])
+            if nonrelativistic_radial:
+                ones, zeros = np.ones_like(rows[0]), np.zeros_like(rows[0])
+                rows = (*rows[:3], ones, ones, zeros, zeros)
             for spec in group:
-                run = run_of[spec.window]
-                first = spec.window[0] - runs[run][0]
+                first = int(offset[spec.window[0] - lo])
                 stop = first + spec.window[1] - spec.window[0] + 1
-                weights = build_weights(spec)
-                yield kind(spec, weights, *(_freeze(row[first:stop]) for row in rows[run]))
+                yield kind(spec, build_weights(spec), *(_freeze(row[first:stop]) for row in rows))
 
 
 @dataclass(frozen=True)

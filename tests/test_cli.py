@@ -475,35 +475,42 @@ def test_kets_built_only_for_density(tmp_path, monkeypatch, capsys):
         assert rc == 0 and len(calls) == expected, argv[0]
 
 
+def _shells(*windows):
+    """The shells of the windows (first, last), in order."""
+    return [n for first, last in windows for n in range(first, last + 1)]
+
+
 @pytest.mark.parametrize(
-    "argv, runs",
+    "argv, calls",
     [
-        # Windows [2, 20], [10, 30], ..., [50, 70]: one run of 69 shells per charge.
-        (["--Z", "1:3", "--N", "10:60:10"], [(2, 70)] * 3),
-        # Windows [2, 20] and [21, 41] touch; [2, 20] and [22, 42] do not.
-        (["--Z", "5", "--N", "10:31:21"], [(2, 41)]),
-        (["--Z", "5", "--N", "10:32:22"], [(2, 20), (22, 42)]),
-        # Windows 10,000 shells apart: ten runs, not the span between them.
+        # Windows [2, 20], [10, 30], ..., [50, 70]: one call over 69 shells per charge.
+        (["--Z", "1:3", "--N", "10:60:10"], [_shells((2, 70))] * 3),
+        # Windows [2, 20] and [21, 41] touch; [2, 20] and [22, 42] leave out 21.
+        (["--Z", "5", "--N", "10:31:21"], [_shells((2, 41))]),
+        (["--Z", "5", "--N", "10:32:22"], [_shells((2, 20), (22, 42))]),
+        # Windows 10,000 shells apart: one call over their 208 shells, not the
+        # 90,019 shells of the span between them.
         (
             ["--Z", "5", "--N", "10:90010:10000"],
-            [(2, 20)] + [(N - 10, N + 10) for N in range(10010, 90011, 10000)],
+            [_shells((2, 20), *((N - 10, N + 10) for N in range(10010, 90011, 10000)))],
         ),
-        # Windows [N - 1, N + 1]: no run passes 1,001 shells, and the 1,101
-        # specs come 1,001 at a time.
+        # Windows [N - 1, N + 1]: the 1,101 specs come 1,001 at a time.
         (
             ["--Z", "1", "--N", "2:1102", "--sigma", "0.1"],
-            [(2, 1002), (1001, 1003), (1002, 1103)],
+            [_shells((2, 1003)), _shells((1002, 1103))],
         ),
     ],
     ids=["dense", "touching", "one-shell-apart", "sparse", "long"],
 )
-def test_smallnorm_calls_window_rows_once_per_run(argv, runs, tmp_path, monkeypatch, capsys):
-    calls = []
+def test_smallnorm_calls_window_rows_once_per_run(argv, calls, tmp_path, monkeypatch, capsys):
+    # A run is what _sweep_tables evaluates at once: up to 1,001 consecutive
+    # specs of one charge, whose windows' shells go to one _window_rows call.
+    shells = []
     window_rows = packet._window_rows
 
-    def recorded(xi, n, nonrelativistic_radial):
-        calls.append((int(n[0]), int(n[-1])))
-        return window_rows(xi, n, nonrelativistic_radial)
+    def recorded(xi, n):
+        shells.append(n.tolist())
+        return window_rows(xi, n)
 
     # Every transcendental of the array kernels goes through _each.  The
     # levels take hypot; the radial log prefactors (log, lgamma, log1p) and
@@ -522,7 +529,7 @@ def test_smallnorm_calls_window_rows_once_per_run(argv, runs, tmp_path, monkeypa
         dirac_coulomb, "_overlap", lambda *args: pytest.fail("smallnorm evaluated _overlap")
     )
     rc, _, _ = run_cli(["smallnorm", *argv, "--out", str(tmp_path / "out.csv")], capsys)
-    assert rc == 0 and calls == runs
+    assert rc == 0 and shells == calls
     assert transcendentals == {"hypot"}
 
 

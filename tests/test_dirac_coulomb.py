@@ -217,9 +217,7 @@ def test_window_norms_sum_to_one_up_to_a_thousand_shells():
     worst = 0.0
     for Z in (1, 3, 54, 92, 137):
         xi = _coupling(Z, 1, 1, DEFAULT_CONSTANTS)
-        _, _, _, g_plus, g_minus, f_plus, f_minus = _window_rows(
-            xi, np.arange(2, 1001), False
-        )
+        _, _, _, g_plus, g_minus, f_plus, f_minus = _window_rows(xi, np.arange(2, 1001))
         worst = max(worst, *np.abs(g_plus + f_plus - 1.0), *np.abs(g_minus + f_minus - 1.0))
     assert worst <= 2e-13
 

@@ -216,7 +216,7 @@ def test_sweep_tables_stream_charge_by_charge():
 
 
 def test_sweep_tables_share_rows_between_charges_of_equal_coupling(monkeypatch):
-    # Z alpha is 0.008 for both charges, so one run of rows serves the two.
+    # Z alpha is 0.008 for both charges, so one call's rows serve the two.
     specs = [
         PacketSpec(Z=2, N=10, constants=PhysicalConstants(alpha=0.004)),
         PacketSpec(Z=4, N=10, constants=PhysicalConstants(alpha=0.002)),
@@ -224,9 +224,9 @@ def test_sweep_tables_share_rows_between_charges_of_equal_coupling(monkeypatch):
     calls = []
     window_rows = packet._window_rows
 
-    def recorded(xi, n, nonrelativistic_radial):
+    def recorded(xi, n):
         calls.append(xi)
-        return window_rows(xi, n, nonrelativistic_radial)
+        return window_rows(xi, n)
 
     monkeypatch.setattr(packet, "_window_rows", recorded)
     first, second = _sweep_tables(specs)

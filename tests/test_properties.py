@@ -4,16 +4,18 @@ Every packet drawn here is checked, on a time array and on a TimeGrid, for
 the invariants that hold for any spin amplitudes and shell weights:
 A(0) = 1, |A| <= 1, unitarity of the four component norms, a spin vector
 no longer than 1 whose sigma_z is n1 - n2 + n3 - n4 of those norms to
-rounding, and a small-component population in [0, 1).  The tables
-built as arrays over the window must equal, bit for bit, the tables
-assembled from the scalar binding energies, splittings and overlaps of the
-window's states, for N up to 500, and the rows of a sub-range of shells
-must be a slice of the rows of the whole range.  A sweep's tables, sliced
-from one _window_rows call per run of windows of a charge, must equal
-those of each spec's own window, bit for bit.  Both comparisons run over
-TABLE_NAMES, every table stored or derived on first read, not over the
-dataclass fields, which hold the stored ones only.  Specs that PacketSpec
-rejects (supercritical window shells) are skipped.
+rounding, a small-component population in [0, 1), and A(t) coefficients
+that are the eigenstate populations to rounding.  The tables built as
+arrays over the window must equal, bit for bit, the tables assembled from
+the scalar binding energies, splittings and overlaps of the window's
+states, for N up to 500, and the rows of a sub-range of shells must be a
+slice of the rows of the whole range, and those of any subset a take of
+them.  A sweep's tables, sliced from one _window_rows call over the shells
+of a chunk's windows, must equal those of each spec's own window, bit for
+bit.  Both comparisons run over TABLE_NAMES, every table stored or derived
+on first read, not over the dataclass fields, which hold the stored ones
+only.  Specs that PacketSpec rejects (supercritical window shells) are
+skipped.
 """
 
 import math
@@ -106,6 +108,23 @@ def test_packet_invariants(Z, N, sigma_g, theta):
 
     assert 0.0 <= small_norm(tables).total < 1.0
 
+    # A(t)'s coefficients are the eigenstate populations: the +-b^2 s^2 <g+|g->
+    # terms of c1 and c2 cancel, and what remains regroups per shell to
+    # w^2 (a^2 + b^2/(2l+1)) (g+ + f+) and w^2 b^2 (2l/(2l+1)) (g- + f-).  The
+    # two sides take at most 26 roundings per entry (21 for the tables' acf_plus,
+    # 5 for the populations), each at most eps/2 of an intermediate no larger
+    # than w^2 (a^2 + b^2); the terms that cancel make a bound relative to each
+    # entry wrong where a ~ 0.
+    lf = (tables.weights.n - 1).astype(float)
+    w2, a2, b2 = tables.weights.w**2, spec.a * spec.a, spec.b * spec.b
+    populations = (
+        w2 * ((a2 + b2 / (2.0 * lf + 1.0)) * (tables.g_plus + tables.f_plus)),
+        w2 * (b2 * (2.0 * lf / (2.0 * lf + 1.0)) * (tables.g_minus + tables.f_minus)),
+    )
+    bound = 26 * np.finfo(float).eps / 2 * w2 * (a2 + b2)
+    for got, want in zip((tables.acf_plus, tables.acf_minus), populations):
+        assert np.all(np.abs(got - want) <= bound)
+
 
 @given(
     Z=st.integers(1, 137),
@@ -172,14 +191,19 @@ def test_array_tables_match_scalar_states_bit_for_bit(Z, N, sigma_g, theta):
 def test_window_rows_of_a_sub_range_are_a_slice(Z, start, shells, data):
     a = data.draw(st.integers(0, shells - 1))
     b = data.draw(st.integers(a + 1, shells))
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, shells - 1), min_size=1))))
     xi = _coupling(Z, 1, start - 1, DEFAULT_CONSTANTS)
     n = np.arange(start, start + shells)
-    whole = _window_rows(xi, n, False)
-    part = _window_rows(xi, n[a:b], False)
+    whole = _window_rows(xi, n)
+    part = _window_rows(xi, n[a:b])
     # Seven per-shell arrays: the energies and the same-state integrals.
     assert len(part) == len(whole) == 7
     for got, want in zip(part, whole):
         _assert_same_bits(got, want[a:b], "rows")
+    # Any subset, gaps and all, is a take of the whole: a sweep evaluates the
+    # union of its windows' shells in one call.
+    for got, want in zip(_window_rows(xi, n[subset]), whole):
+        _assert_same_bits(got, want[subset], "rows of a subset")
     # The cross-state integrals come from each window's radial rows: g_pm
     # per shell, F' over all but the last two shells.
     whole = build_tables(PacketSpec(Z=Z, N=start, window=(start, start + shells - 1)))
@@ -227,7 +251,11 @@ def test_sweep_tables_match_each_window_bit_for_bit(specs):
             # One _window_rows call over the spec's own window.
             weights = build_weights(spec)
             xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
-            rows = _window_rows(xi, weights.n, nonrelativistic_radial)
+            rows = _window_rows(xi, weights.n)
+            if nonrelativistic_radial:
+                # The same-state integrals' limits: 1 for g, 0 for f.
+                ones, zeros = np.ones(weights.n.size), np.zeros(weights.n.size)
+                rows = (*rows[:3], ones, ones, zeros, zeros)
             expected = (_LimitTables if nonrelativistic_radial else PacketTables)(
                 spec, weights, *rows
             )
