@@ -740,7 +740,6 @@ class TimeScales:
     t: dict[int, float]
     t_ls: float
     t_cl: float
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def unit_scale(self, unit: str) -> float:
         """Natural-unit duration of one step of the named display unit."""
@@ -771,7 +770,6 @@ def timescales(
         t=dict(enumerate(t[0].tolist(), start=1)),
         t_ls=float(t_ls[0]),
         t_cl=float(t_cl[0]),
-        constants=constants,
     )
 
 
