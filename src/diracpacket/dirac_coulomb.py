@@ -33,8 +33,10 @@ beta = N - kappa)
     n' = 1:  P_g = (beta - 1) - (beta / c) x,
              P_f = (beta + 1) - (beta / c) x.
 
-Two exact identities pin this normalization and are used as test oracles:
-integral g^2 r^2 dr = (1 + E)/2 and integral f^2 r^2 dr = (1 - E)/2.
+Two exact identities pin this normalization: integral g^2 r^2 dr =
+(1 + E)/2 and integral f^2 r^2 dr = (1 - E)/2.  They are the same-state
+integrals of overlap_closed_form and of the packet tables, which take them
+from the energies rather than from the Gamma moments.
 
 The free overall sign of each eigenstate is fixed so that the large
 component is positive at large r (for n' = 1 that flips both components,
@@ -49,13 +51,11 @@ for n' = 0, the flip of g for n' = 1), and every evaluation assembles one
 exponent before a single exp call, so states up to n of a few hundred
 evaluate without intermediate overflow.
 
-The levels, radial data and overlaps are computed by kernels over NumPy
-arrays of states (_levels, _radial with its log-free part _polynomials,
-_overlap, and _norm for a state with itself, whose log-Gamma terms cancel
-analytically, so it needs the polynomials alone).  This module owns the
-circular shell layout: only _shells labels a shell's two partners and
-only _shell_coupling checks that a range of shells binds them (returning
-xi), and _window_rows, _shell_radial, _partner_overlaps and
+The levels, radial data and overlaps of distinct states are computed by
+kernels over NumPy arrays of states (_levels, _radial, _overlap).  This
+module owns the circular shell layout: only _shells labels a shell's two
+partners and only _shell_coupling checks that a range of shells binds them
+(returning xi), and _window_rows, _shell_radial, _partner_overlaps and
 _shell_splittings hand the packet module whole shells, with the exact
 integrals only: the packet module owns their nonrelativistic limits.
 state_from_kappa, overlap_closed_form and the energies call the kernels
@@ -364,31 +364,6 @@ class _Radial(NamedTuple):
 
 def _radial(xi: float, level: _Levels) -> _Radial:
     """Radial data of the states of level, n' in {0, 1}; see state_from_kappa."""
-    lam, g_poly, f_poly = _polynomials(xi, level)
-    beta = level.big_n - level.kappa
-    c = 2.0 * level.gamma + 1.0
-    log_a = (
-        1.5 * _each(math.log, 2.0 * lam)
-        - _each(math.lgamma, c)
-        + 0.5
-        * (
-            _each(math.lgamma, c + level.n_prime)
-            - _LN4
-            - _each(math.log, level.big_n)
-            - _each(math.log, beta)
-        )
-    )
-    one_minus_e = lam * lam / (1.0 + level.energy)
-    g_log = log_a + 0.5 * _each(math.log1p, level.energy)
-    f_log = log_a + 0.5 * _each(math.log, one_minus_e)
-    return _Radial(level.gamma, lam, g_log, g_poly, f_log, f_poly)
-
-
-def _polynomials(xi: float, level: _Levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda and the g and f polynomials of the states of level, n' in {0, 1}.
-
-    The part of _radial without its log prefactors: + - * / and sqrt only.
-    """
     n_prime, kappa, big_n = level.n_prime, level.kappa, level.big_n
     lam = xi / big_n
     beta = big_n - kappa
@@ -409,7 +384,21 @@ def _polynomials(xi: float, level: _Levels) -> tuple[np.ndarray, np.ndarray, np.
     one_node = n_prime == 1
     g_poly = np.where(one_node, np.stack([-c0_g, -c1]), nodeless)
     f_poly = np.where(one_node, np.stack([beta + 1.0, c1]), -nodeless)
-    return lam, g_poly, f_poly
+    log_a = (
+        1.5 * _each(math.log, 2.0 * lam)
+        - _each(math.lgamma, c)
+        + 0.5
+        * (
+            _each(math.lgamma, c + n_prime)
+            - _LN4
+            - _each(math.log, big_n)
+            - _each(math.log, beta)
+        )
+    )
+    one_minus_e = lam * lam / (1.0 + level.energy)
+    g_log = log_a + 0.5 * _each(math.log1p, level.energy)
+    f_log = log_a + 0.5 * _each(math.log, one_minus_e)
+    return _Radial(level.gamma, lam, g_log, g_poly, f_log, f_poly)
 
 
 def _shell_radial(xi: float, n: np.ndarray) -> _Radial:
@@ -488,11 +477,14 @@ def overlap_closed_form(a: CircularState, b: CircularState, part: str) -> float:
 
     G = gamma_a + gamma_b, Lam = lambda_a + lambda_b, k in {0, 1, 2};
     everything is assembled in log space with one final exp.  A state's
-    overlap with itself (a == b) is its norm, taken in cancelled form.
+    overlap with itself (a == b) is its norm, (1 + E)/2 for 'gg' and
+    (1 - E)/2 = lambda^2 / (2 (1 + E)) for 'ff', without the 1 - E
+    cancellation.
     """
     _check_pair(a, b, part)
     if a == b:
-        return float(_norm(a, a.lam, a.g_poly, a.f_poly, part))
+        one_plus_e = 1.0 + a.energy
+        return 0.5 * one_plus_e if part == "gg" else a.lam * a.lam / (2.0 * one_plus_e)
     return float(_overlap(a, b, part)[0])
 
 
@@ -523,55 +515,20 @@ def _overlap(a, b, part: str) -> np.ndarray:
     return bracket * _each(math.exp, base)
 
 
-def _norm(level, lam, g_poly, f_poly, part: str) -> np.ndarray:
-    """<g|g> (part 'gg') or <f|f> ('ff') of each state with itself, row by row.
-
-    level gives the states' n', gamma and E (a _Levels or a CircularState),
-    and lam, g_poly and f_poly their lambda and polynomials.  On the
-    diagonal the lgamma and log(2 lambda) terms of _overlap's exponent
-    cancel those of the log prefactors, which leaves log c for n' = 1:
-
-        <g|g> = M (1 + E) / (4 N s),    <f|f> = M (1 - E) / (4 N s),
-
-    with c = 2 gamma + 1, N = (n' + gamma) / E, s = beta / c^n' (the
-    coefficient of x^n' in g's polynomial), M = p0^2 + 2 c p0 p1
-    + c (c + 1) p1^2 the moments of the component's polynomial p, and
-    1 - E taken as lambda^2 / (1 + E), as in _radial.  No log prefactor is
-    read, so a norm takes no transcendental.  Without the cancellation the
-    exponent carries lgamma(c), whose rounding put |<g|g> + <f|f> - 1| near
-    1e-12 by N = 165.
-    """
-    n_prime, energy = level.n_prime, level.energy
-    gamma = np.asarray(level.gamma)
-    g_poly = np.asarray(g_poly)
-    p0, p1 = g_poly if part == "gg" else np.asarray(f_poly)
-    c = 2.0 * gamma + 1.0
-    big_n = (n_prime + gamma) / energy
-    s = np.where(n_prime == 1, g_poly[1], g_poly[0])
-    moments = p0 * p0 + 2.0 * c * p0 * p1 + c * (c + 1.0) * p1 * p1
-    lam = np.asarray(lam)
-    side = 1.0 + energy if part == "gg" else lam * lam / (1.0 + energy)
-    return moments * side / (4.0 * big_n * s)
-
-
 def _window_rows(xi: float, n: np.ndarray) -> tuple:
-    """Binding energies E+ - 1, E- - 1, omega and the same-state integrals of the shells n.
+    """Binding energies E+ - 1 and E- - 1 and the splittings omega of the shells n.
 
-    n is any increasing array of distinct shells.  The integrals are
-    <g+|g+>, <g-|g->, <f+|f+> and <f-|f->.  They read the states'
-    polynomials alone (see _norm), so no log prefactor is formed here; the
-    cross-state integrals, which need them, are _partner_overlaps of
-    _shell_radial rows, which PacketTables takes on first read.  A row
-    depends only on (xi, shell), so the rows of any subset of n are a take
-    of n's rows: packet._sweep_tables calls this once on the union of a
-    chunk's windows and slices each window's rows from it.
+    n is any increasing array of distinct shells.  These are all a packet
+    stores: its same-state integrals follow from the energies, and its
+    cross-state integrals are _partner_overlaps of _shell_radial rows, which
+    PacketTables takes on first read.  A row depends only on (xi, shell), so
+    the rows of any subset of n are a take of n's rows: packet._sweep_tables
+    calls this once on the union of a chunk's windows and slices each
+    window's rows from it.
     """
     level, omega = _shells(xi, n)
     count = len(n)
-    lam, g_poly, f_poly = _polynomials(xi, level)
-    gg, ff = (_norm(level, lam, g_poly, f_poly, part) for part in ("gg", "ff"))
-    e = level.binding
-    return e[:count], e[count:], omega, gg[:count], gg[count:], ff[:count], ff[count:]
+    return level.binding[:count], level.binding[count:], omega
 
 
 def _partner_overlaps(rows: _Radial, part: str, apart: int) -> np.ndarray:

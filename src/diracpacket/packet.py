@@ -21,11 +21,14 @@ e(+/-) = exp(-i (E(+/-) - 1) t)):
                  + b Y_{l+1,l} / sqrt(2l+3) ] e+
 
 with s = sqrt(2l)/(2l+1).  All observables reduce to sums over l of the
-five same-l radial integrals (the rows of _window_rows) plus the one
-cross-shell small-component integral F'_l = <f+(l)|f-(l+2)> that couples
-angular labels (l+1, l) two shells apart and produces the small
-corrections delta sigma_x, delta sigma_y at frequencies omega_tilde_l =
-E+(l) - E-(l+2).
+five same-l radial integrals plus the one cross-shell small-component
+integral F'_l = <f+(l)|f-(l+2)> that couples angular labels (l+1, l) two
+shells apart and produces the small corrections delta sigma_x, delta
+sigma_y at frequencies omega_tilde_l = E+(l) - E-(l+2).  Four of the five
+are the energies: <f|f> = (1 - E)/2 and <g|g> = 1 - <f|f> for each
+eigenstate.  In A(t) the +-b^2 s^2 <g+|g-> terms of c1 and c2 cancel and
+g + f = 1 leaves the eigenstate populations, w^2 (a^2 + b^2/(2l+1)) at
+E+ and w^2 b^2 2l/(2l+1) at E-, so A(t) reads no radial integral.
 
 Phases run in the rest frame: every energy in the tables is a binding
 energy E - 1, so A(t) drops the global rest-mass phase exp(-i t).  A phase
@@ -48,17 +51,18 @@ own, so a time's value is the same alone or in a batch.
 dirac_coulomb owns how a shell maps to its two partner states:
 PacketSpec checks its window with _shell_coupling and keeps the xi it
 returns, build_tables and the sweep's _sweep_tables store the binding
-energies, splittings and same-state radial integrals from one _window_rows
-call per chunk of specs of one xi, over the shells of the chunk's windows,
-and timescales takes its splittings from _shell_splittings, which checks a
-sweep's points as arrays.  Every other table is derived on its first
-read: the radial data of the window's partners (PacketTables.rows, from
-_shell_radial), the cross-state integrals taken from those rows
-(_partner_overlaps), the coefficients formed here, and the density's ket
-table (PacketTables.kets).  So a sweep that reads only the small-component
-norms forms no log prefactor and no cross-state overlap, and no
-CircularState is made for a packet.  The radial limits are decided here.
-timescales evaluates its Taylor jets for many (Z, N) points at once.
+energies and splittings from one _window_rows call per chunk of specs of
+one xi, over the shells of the chunk's windows, and timescales takes its
+splittings from _shell_splittings, which checks a sweep's points as
+arrays.  Every other table is derived on its first read: the same-state
+integrals from the energies, the radial data of the window's partners
+(PacketTables.rows, from _shell_radial), the cross-state integrals taken
+from those rows (_partner_overlaps), the coefficients formed here, and the
+density's ket table (PacketTables.kets).  So A(t) and a sweep that reads
+only the small-component norms form no radial data at all, and no
+CircularState is made for a packet.  The radial limits are decided here,
+in _LimitTables alone.  timescales evaluates its Taylor jets for many
+(Z, N) points at once.
 """
 
 from __future__ import annotations
@@ -178,19 +182,20 @@ class PacketTables:
 
     Per-l arrays run over the window orbitals l = weights.n - 1; cross
     arrays (f_prime, k_coef, omega_tilde) run over the orbitals with l + 2
-    still inside the window.  Stored, from one _window_rows call:
-
-    - the binding energies e_plus = E+ - 1 and e_minus = E- - 1 of the two
-      partners (not the energies E themselves: the rest-frame phases of
-      A(t) and of the density) and the cancellation-free splitting omega
-      (the phases of every other observable);
-    - the same-state radial integrals g_plus = <g+|g+>, g_minus, f_plus and
-      f_minus.
+    still inside the window.  Stored, from one _window_rows call: the
+    binding energies e_plus = E+ - 1 and e_minus = E- - 1 of the two
+    partners (not the energies E themselves: the rest-frame phases of A(t)
+    and of the density) and the cancellation-free splitting omega (the
+    phases of every other observable).  No radial integral is stored.
 
     Derived on first read and then kept (functools.cached_property), so a
     packet pays only for the tables it reads; small_norm reads norm3 and
-    norm4 alone:
+    norm4 alone, and A(t) acf_plus and acf_minus alone:
 
+    - the same-state radial integrals f_plus = <f+|f+> = (1 - E+)/2 =
+      -e_plus/2, exact halvings of the binding energies, so they keep
+      their accuracy, f_minus likewise, and g_plus = <g+|g+> = 1 - f_plus,
+      bit for bit 1 + e_plus/2, and g_minus;
     - rows, the radial data of the window's partners (the j+ rows, then the
       j- rows, as e_plus and e_minus), which feeds the density and the two
       cross-state integrals: g_pm = <g+|g->, shell by shell, and
@@ -198,10 +203,10 @@ class PacketTables:
     - omega_tilde = e_plus(l) - e_minus(l+2) = E+(l) - E-(l+2), and k_coef,
       the cross-shell F'_l correction to <sigma_x>, <sigma_y> with its
       weights folded in;
-    - the coefficients of A(t) (acf_*), of the component norms (norm*) and
-      of <sigma_x>, <sigma_y> (sx_*); each already carries w_l^2 and the
-      radial integrals, so an observable is a dot product against phase
-      factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos, and
+    - the coefficients of A(t) (acf_*, the eigenstate populations), of the
+      component norms (norm*) and of <sigma_x>, <sigma_y> (sx_*); each
+      already carries w_l^2 and the radial integrals, so an observable is a
+      dot product against phase factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos, and
       the sin(omega t) coefficient of <sigma_y> is sx_cos, which the
       property sy_sin returns too, only because bench/checks.py reads it.
       <sigma_z> has no table: the properties sz_* derive it from norm*;
@@ -210,10 +215,9 @@ class PacketTables:
 
     A row of every table depends only on xi and its shell, so the tables
     are the same bits however the stored rows were sliced.  The tables of
-    build_tables(..., nonrelativistic_radial=True) are _LimitTables: the
-    sweep stores the limits 1 (g) and 0 (f) of the same-state integrals,
-    and _LimitTables takes them for the cross-state ones.  Tables compare
-    equal only to themselves, and hash by identity.
+    build_tables(..., nonrelativistic_radial=True) are _LimitTables, which
+    take the limits of the radial integrals.  Tables compare equal only to
+    themselves, and hash by identity.
     """
 
     spec: PacketSpec
@@ -221,10 +225,26 @@ class PacketTables:
     e_plus: np.ndarray
     e_minus: np.ndarray
     omega: np.ndarray
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-    f_plus: np.ndarray
-    f_minus: np.ndarray
+
+    @functools.cached_property
+    def f_plus(self) -> np.ndarray:
+        """<f+|f+> = (1 - E+)/2 = -e_plus/2."""
+        return _freeze(-0.5 * self.e_plus)
+
+    @functools.cached_property
+    def f_minus(self) -> np.ndarray:
+        """<f-|f-> = (1 - E-)/2 = -e_minus/2."""
+        return _freeze(-0.5 * self.e_minus)
+
+    @functools.cached_property
+    def g_plus(self) -> np.ndarray:
+        """<g+|g+> = 1 - <f+|f+>."""
+        return _freeze(1.0 - self.f_plus)
+
+    @functools.cached_property
+    def g_minus(self) -> np.ndarray:
+        """<g-|g-> = 1 - <f-|f->."""
+        return _freeze(1.0 - self.f_minus)
 
     @functools.cached_property
     def rows(self) -> _Radial:
@@ -268,28 +288,19 @@ class PacketTables:
             * np.sqrt((2.0 * lc + 2.0) * (2.0 * lc + 4.0) / ((2.0 * lc + 3.0) * (2.0 * lc + 5.0)))
         )
 
-    # Same-component equal-label autocorrelation coefficients, by phase:
-    # c1 to c4 at e_plus, c1 to c3 at e_minus.
+    # A(t) by phase: the populations of the j+ and the j- eigenstates.
     @functools.cached_property
     def acf_plus(self) -> np.ndarray:
-        """The coefficients of A(t) at the phases -e_plus t."""
-        lf, l1, l3, s2, w2 = self._per_l
+        """The coefficients of A(t) at the phases -e_plus t: w^2 (a^2 + b^2/(2l+1))."""
+        _, l1, _, _, w2 = self._per_l
         a2, b2 = self.spec.a * self.spec.a, self.spec.b * self.spec.b
-        c1_p = (a2 + b2 * s2) * self.g_plus - b2 * s2 * self.g_pm
-        c2_p = b2 / (l1 * l1) * self.g_plus + b2 * s2 * self.g_pm
-        c3_p = (a2 / l3 + 2.0 * b2 / (l1 * l3)) * self.f_plus
-        c4_p = (a2 * (2.0 * lf + 2.0) / l3 + b2 / l3) * self.f_plus
-        return _freeze(w2 * (c1_p + c2_p + c3_p + c4_p))
+        return _freeze(w2 * (a2 + b2 / l1))
 
     @functools.cached_property
     def acf_minus(self) -> np.ndarray:
-        """The coefficients of A(t) at the phases -e_minus t."""
-        lf, l1, _, s2, w2 = self._per_l
-        b2 = self.spec.b * self.spec.b
-        c1_m = b2 * s2 * self.g_minus - b2 * s2 * self.g_pm
-        c2_m = b2 * (2.0 * lf / l1) ** 2 * self.g_minus + b2 * s2 * self.g_pm
-        c3_m = b2 * (2.0 * lf / l1) * self.f_minus
-        return _freeze(w2 * (c1_m + c2_m + c3_m))
+        """The coefficients of A(t) at the phases -e_minus t: w^2 b^2 2l/(2l+1)."""
+        lf, l1, _, _, w2 = self._per_l
+        return _freeze(w2 * (self.spec.b * self.spec.b * (2.0 * lf / l1)))
 
     # Equal-time component norms: <ci|ci>(t) = sum(const + cos_coef cos(omega t)).
     @functools.cached_property
@@ -360,7 +371,18 @@ class PacketTables:
 
 
 class _LimitTables(PacketTables):
-    """PacketTables whose cross-state integrals take their limits: <g+|g-> = 1, F' = 0."""
+    """PacketTables whose radial integrals take their nonrelativistic limits.
+
+    <f|f> = 0, and so <g|g> = 1, for each state; <g+|g-> = 1 and F' = 0.
+    """
+
+    @functools.cached_property
+    def f_plus(self) -> np.ndarray:
+        return _freeze(np.zeros(self.weights.n.size))
+
+    @functools.cached_property
+    def f_minus(self) -> np.ndarray:
+        return self.f_plus
 
     @functools.cached_property
     def g_pm(self) -> np.ndarray:
@@ -445,9 +467,10 @@ def build_tables(
     their limit values (all large-component overlaps 1, all
     small-component integrals 0) while energies keep their exact values;
     comparing observables against this variant isolates the genuinely
-    relativistic radial corrections.  This is the one-spec sweep of
-    _sweep_tables: one _window_rows call over the window; the coefficient
-    tables are formed when first read.
+    relativistic radial corrections of the spin and the norms.  A(t) reads
+    only the populations, so it is the same either way.  This is the
+    one-spec sweep of _sweep_tables: one _window_rows call over the window;
+    every other table is formed when first read.
     """
     return next(_sweep_tables([spec], nonrelativistic_radial))
 
@@ -463,8 +486,7 @@ def _sweep_tables(specs, nonrelativistic_radial: bool = False):
     evaluates its windows' shells only, not the span between them.  Only
     one chunk's rows are alive at a time; seeing where a coupling ends
     draws the first spec of the next one.  Under nonrelativistic_radial
-    the same-state integrals are replaced here by their limits, 1 (g) and
-    0 (f), and _LimitTables takes the cross-state ones.
+    the tables are _LimitTables.
     """
     kind = _LimitTables if nonrelativistic_radial else PacketTables
     for xi, charge in itertools.groupby(specs, key=lambda spec: spec.xi):
@@ -477,9 +499,6 @@ def _sweep_tables(specs, nonrelativistic_radial: bool = False):
             # The offset of each covered shell among the covered ones.
             offset = covered.cumsum() - 1
             rows = _window_rows(xi, lo + covered.nonzero()[0])
-            if nonrelativistic_radial:
-                ones, zeros = np.ones_like(rows[0]), np.zeros_like(rows[0])
-                rows = (*rows[:3], ones, ones, zeros, zeros)
             for spec in group:
                 first = int(offset[spec.window[0] - lo])
                 stop = first + spec.window[1] - spec.window[0] + 1
@@ -627,7 +646,11 @@ class SmallNorm:
 
 
 def small_norm(tables: PacketTables) -> SmallNorm:
-    """Stationary small-component norms; total < (1 - E)/2-ish, << 1."""
+    """Stationary small-component norms; total < (1 - E)/2-ish, << 1.
+
+    They read the energies alone, through f_plus and f_minus: no radial
+    data is formed.
+    """
     c3 = float(np.sum(tables.norm3))
     c4 = float(np.sum(tables.norm4))
     return SmallNorm(c3_norm=c3, c4_norm=c4, total=c3 + c4)

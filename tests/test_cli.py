@@ -104,6 +104,20 @@ def test_autocorr_modulus_squared_is_pythons_abs_squared(tmp_path):
     assert data[:, 2].tobytes() == np.array(expected).tobytes()
 
 
+def test_autocorr_rows_do_not_depend_on_no_small(capsys):
+    # A(t) reads the eigenstate populations, not the radial integrals that
+    # --no-small replaces; only the manifest records the switch.
+    argv = ["autocorr", "--Z", "92", "--N", "20", "--unit", "kepler", "--tmax", "3",
+            "--samples", "200"]
+    runs = [run_cli(argv + switch, capsys) for switch in ([], ["--no-small"])]
+    (rc, out, _), (rc_limit, out_limit, _) = runs
+    assert rc == rc_limit == 0
+    manifest, header, rows = split_csv(out)
+    manifest_limit, header_limit, rows_limit = split_csv(out_limit)
+    assert (manifest["params"]["no_small"], manifest_limit["params"]["no_small"]) == (False, True)
+    assert header == header_limit and rows == rows_limit
+
+
 def test_spin_series_initial_row(capsys):
     rc, out, _ = run_cli(
         ["spin", "--Z", "92", "--N", "4", "--sigma", "0.8",
@@ -513,9 +527,9 @@ def test_smallnorm_calls_window_rows_once_per_run(argv, calls, tmp_path, monkeyp
         return window_rows(xi, n)
 
     # Every transcendental of the array kernels goes through _each.  The
-    # levels take hypot; the radial log prefactors (log, lgamma, log1p) and
-    # _overlap (log, lgamma, exp) are not needed for the small-component
-    # norms, which read same-state integrals only.
+    # levels take hypot; the radial data (_radial, with log, lgamma, log1p)
+    # and _overlap (log, lgamma, exp) are not needed for the small-component
+    # norms, which read the binding energies only.
     transcendentals = set()
     each = dirac_coulomb._each
 
@@ -525,9 +539,10 @@ def test_smallnorm_calls_window_rows_once_per_run(argv, calls, tmp_path, monkeyp
 
     monkeypatch.setattr(packet, "_window_rows", recorded)
     monkeypatch.setattr(dirac_coulomb, "_each", recorded_each)
-    monkeypatch.setattr(
-        dirac_coulomb, "_overlap", lambda *args: pytest.fail("smallnorm evaluated _overlap")
-    )
+    for name in ("_radial", "_overlap"):
+        monkeypatch.setattr(
+            dirac_coulomb, name, lambda *args, name=name: pytest.fail(f"smallnorm evaluated {name}")
+        )
     rc, _, _ = run_cli(["smallnorm", *argv, "--out", str(tmp_path / "out.csv")], capsys)
     assert rc == 0 and shells == calls
     assert transcendentals == {"hypot"}

@@ -13,9 +13,11 @@ import pytest
 
 from diracpacket import (
     Branch,
+    PacketSpec,
     PhysicalConstants,
     SupercriticalChargeError,
     binding_energy,
+    build_tables,
     eval_radial,
     fine_splitting,
     make_circular_state,
@@ -23,11 +25,17 @@ from diracpacket import (
     overlap_set,
     state_from_kappa,
 )
-from diracpacket.constants import DEFAULT_CONSTANTS
-from diracpacket.dirac_coulomb import _coupling, _window_rows
+from diracpacket.constants import ALPHA_DEFAULT
+from diracpacket.dirac_coulomb import _overlap, _take
 from oracles import overlap_quadrature
 
 ALPHA = 1.0 / 137.036
+EPS = np.finfo(float).eps
+
+
+def _sommerfeld_energy(xi, n_prime: int, kappa: int):
+    d = n_prime + mp.sqrt(kappa * kappa - xi * xi)
+    return d / mp.sqrt(d * d + xi * xi)
 
 
 def test_make_circular_state_labels():
@@ -211,15 +219,34 @@ def test_norm_split_between_components():
         assert gg + ff == pytest.approx(1.0, abs=1e-13)
 
 
-def test_window_norms_sum_to_one_up_to_a_thousand_shells():
-    # The same-state rows cancel lgamma(2 gamma + 1) out of their exponent;
-    # with it they drifted to 1.1e-11 by n = 1,000.
-    worst = 0.0
-    for Z in (1, 3, 54, 92, 137):
-        xi = _coupling(Z, 1, 1, DEFAULT_CONSTANTS)
-        _, _, _, g_plus, g_minus, f_plus, f_minus = _window_rows(xi, np.arange(2, 1001))
-        worst = max(worst, *np.abs(g_plus + f_plus - 1.0), *np.abs(g_minus + f_minus - 1.0))
-    assert worst <= 2e-13
+def test_same_state_integrals_match_50_digit_energies():
+    """The tables' f+-, g+- against (1 -+ E)/2 of 50-digit Sommerfeld energies.
+
+    The reference takes the library's double xi = Z alpha.  The bound is the
+    operation count of the binding energy E - 1 = -xi^2 / (N (d + N)), in
+    units of u = eps / 2: gamma = sqrt((k - xi)(k + xi)) is off by at most
+    2.5 u, d = n' + gamma by 3.5 u, N = hypot(d, xi) by 5.5 u (hypot within
+    one ulp), d + N by 6.5 u, N (d + N) by 13 u and the quotient by 15 u.
+    f = -(E - 1)/2 halves exactly and keeps 15 u; g = 1 - f adds one
+    rounding, and |f| <= g, so g is off by at most 16 u.  The moment
+    formula that the tables used before grew to n^2 eps: 6.9e-14 at
+    (1, 800) on the j- partner.
+    """
+    for Z in (1, 30, 92, 137):
+        tables = build_tables(PacketSpec(Z=Z, N=401, window=(2, 800)))
+        n = tables.weights.n.tolist()
+        with mp.workdps(50):
+            xi = mp.mpf(Z * ALPHA_DEFAULT)
+            energies = {
+                "plus": [_sommerfeld_energy(xi, 0, -shell) for shell in n],
+                "minus": [_sommerfeld_energy(xi, 1, shell - 1) for shell in n],
+            }
+            for partner, energy in energies.items():
+                for part, sign, units in (("f", -1, 15), ("g", 1, 16)):
+                    got = getattr(tables, f"{part}_{partner}")
+                    ref = np.array([float((1 + sign * e) / 2) for e in energy])
+                    worst = float(np.max(np.abs(got / ref - 1.0)))
+                    assert worst <= units * EPS / 2, (Z, part, partner, worst)
 
 
 def test_norm_split_by_quadrature():
@@ -229,6 +256,51 @@ def test_norm_split_by_quadrature():
         ff = overlap_quadrature(st, st, "ff")
         assert gg == pytest.approx(0.5 * (1.0 + st.energy), abs=1e-11)
         assert ff == pytest.approx(0.5 * (1.0 - st.energy), abs=1e-11)
+
+
+def test_radial_rows_overlap_with_themselves_to_the_norm_split():
+    """_overlap of a tables.rows row with itself against 50-digit (1 +- E)/2.
+
+    overlap_closed_form takes a state's norms from its energy, so this is
+    what checks the log prefactors of the radial rows against the
+    normalization.  The exponent of _overlap sums about 16 terms: the two
+    log prefactors, each 1.5 L, lgamma(c), half of lgamma(c + n'), ln 4,
+    log N, log beta and log(1 +- E), with L = log(2 lambda) and c = 2 gamma + 1,
+    then 2 (gamma - 1) L, lgamma(2 gamma + 1) and (2 gamma + 1) L.  With S the
+    sum of their magnitudes, each term is off by at most 2 u |term| (its
+    function and one product) and each addition by u S, so the exponent is
+    off by at most 18 u S absolute, u = eps / 2; the exponential, the
+    polynomial bracket and its product add under 10 eps relative.
+    """
+    for Z in (1, 30, 92, 137):
+        tables = build_tables(PacketSpec(Z=Z, N=21, window=(2, 40)))
+        rows = tables.rows
+        labels = [(0, -n) for n in tables.weights.n.tolist()]
+        labels += [(1, n - 1) for n in tables.weights.n.tolist()]
+        xi = mp.mpf(Z * ALPHA_DEFAULT)
+        for i, (n_prime, kappa) in enumerate(labels):
+            row = _take(rows, slice(i, i + 1))
+            gamma, lam = float(row.gamma[0]), float(row.lam[0])
+            log_2lam, c = abs(math.log(2.0 * lam)), 2.0 * gamma + 1.0
+            big_n = Z * ALPHA_DEFAULT / lam
+            with mp.workdps(50):
+                energy = _sommerfeld_energy(xi, n_prime, kappa)
+            for part, side in (("gg", 1 + energy), ("ff", 1 - energy)):
+                ref = float(side / 2)
+                magnitude = 2.0 * (
+                    1.5 * log_2lam
+                    + math.lgamma(c)
+                    + 0.5 * (
+                        math.lgamma(c + n_prime)
+                        + math.log(4.0)
+                        + abs(math.log(big_n))
+                        + abs(math.log(big_n - kappa))
+                        + abs(math.log(float(side)))
+                    )
+                )
+                magnitude += (2.0 * abs(gamma - 1.0) + c) * log_2lam + math.lgamma(c)
+                got = float(_overlap(row, row, part)[0])
+                assert abs(got / ref - 1.0) <= EPS * (9.0 * magnitude + 10.0), (Z, i, part)
 
 
 def test_closed_form_matches_quadrature_random_pairs():

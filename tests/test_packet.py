@@ -235,6 +235,14 @@ def test_sweep_tables_share_rows_between_charges_of_equal_coupling(monkeypatch):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
+def test_autocorrelation_builds_no_radial_data():
+    # A(t) reads the binding energies and the eigenstate populations only.
+    tables = build_tables(PacketSpec(Z=92, N=20))
+    autocorrelation(tables, np.linspace(0.0, 1e6, 5))
+    for name in ("rows", "g_pm", "f_prime", "f_plus", "g_plus"):
+        assert name not in tables.__dict__, name
+
+
 def test_tables_compare_and_hash_by_identity():
     spec = PacketSpec(Z=92, N=20, sigma_g=2.0)
     first, second = build_tables(spec), build_tables(spec)

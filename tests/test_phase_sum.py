@@ -1,8 +1,8 @@
 """Rest-frame A(t) against an independent reference, and the factored
 phase sums of uniform time grids against the direct sums.
 
-The reference uses no diracpacket code.  With nonrelativistic_radial=True
-the A(t) coefficients are closed form in the shell weight w, the spin
+The reference uses no diracpacket code.  The A(t) coefficients are the
+eigenstate populations, closed form in the shell weight w, the spin
 amplitudes a, b and the orbital l = n - 1,
 
     A(t) = sum_n w_n^2 [ (a^2 + b^2 / (2l + 1)) e^{-i (E+ - 1) t}
@@ -101,7 +101,7 @@ def _reference_terms(spec: PacketSpec):
 @pytest.mark.parametrize("Z, N", [(1, 20), (1, 300), (1, 500), (92, 20), (92, 300), (92, 500)])
 def test_rest_frame_autocorrelation_against_50_digit_reference(Z, N):
     spec = PacketSpec(Z=Z, N=N)
-    tables = build_tables(spec, nonrelativistic_radial=True)
+    tables = build_tables(spec)
     with mpmath.workdps(50):
         coefs, energies, t_ls = _reference_terms(spec)
         times = np.linspace(0.0, 10.0, 201) * t_ls

@@ -5,10 +5,11 @@ the invariants that hold for any spin amplitudes and shell weights:
 A(0) = 1, |A| <= 1, unitarity of the four component norms, a spin vector
 no longer than 1 whose sigma_z is n1 - n2 + n3 - n4 of those norms to
 rounding, a small-component population in [0, 1), and A(t) coefficients
-that are the eigenstate populations to rounding.  The tables built as
-arrays over the window must equal, bit for bit, the tables assembled from
-the scalar binding energies, splittings and overlaps of the window's
-states, for N up to 500, and the rows of a sub-range of shells must be a
+that are the same bits with the radial integrals at their limits.  The
+tables built as arrays over the window must equal, bit for bit, the tables
+assembled from the scalar binding energies and splittings of the window's
+states, and their cross-state integrals the scalar overlaps, for N up to
+500, and the rows of a sub-range of shells must be a
 slice of the rows of the whole range, and those of any subset a take of
 them.  A sweep's tables, sliced from one _window_rows call over the shells
 of a chunk's windows, must equal those of each spec's own window, bit for
@@ -108,22 +109,11 @@ def test_packet_invariants(Z, N, sigma_g, theta):
 
     assert 0.0 <= small_norm(tables).total < 1.0
 
-    # A(t)'s coefficients are the eigenstate populations: the +-b^2 s^2 <g+|g->
-    # terms of c1 and c2 cancel, and what remains regroups per shell to
-    # w^2 (a^2 + b^2/(2l+1)) (g+ + f+) and w^2 b^2 (2l/(2l+1)) (g- + f-).  The
-    # two sides take at most 26 roundings per entry (21 for the tables' acf_plus,
-    # 5 for the populations), each at most eps/2 of an intermediate no larger
-    # than w^2 (a^2 + b^2); the terms that cancel make a bound relative to each
-    # entry wrong where a ~ 0.
-    lf = (tables.weights.n - 1).astype(float)
-    w2, a2, b2 = tables.weights.w**2, spec.a * spec.a, spec.b * spec.b
-    populations = (
-        w2 * ((a2 + b2 / (2.0 * lf + 1.0)) * (tables.g_plus + tables.f_plus)),
-        w2 * (b2 * (2.0 * lf / (2.0 * lf + 1.0)) * (tables.g_minus + tables.f_minus)),
-    )
-    bound = 26 * np.finfo(float).eps / 2 * w2 * (a2 + b2)
-    for got, want in zip((tables.acf_plus, tables.acf_minus), populations):
-        assert np.all(np.abs(got - want) <= bound)
+    # A(t)'s coefficients are the eigenstate populations, which read no radial
+    # integral: the limit tables give the same bits.
+    limit = build_tables(spec, nonrelativistic_radial=True)
+    for name in ("acf_plus", "acf_minus"):
+        _assert_same_bits(getattr(tables, name), getattr(limit, name), name)
 
 
 @given(
@@ -162,22 +152,18 @@ def test_array_tables_match_scalar_states_bit_for_bit(Z, N, sigma_g, theta):
     count = tables.weights.n.size
     plus = [by_row[row] for row in range(count)]
     minus = [by_row[row] for row in range(count, 2 * count)]
-    sets = [overlap_set(p, m) for p, m in zip(plus, minus)]
-    same_l = {
-        name: np.array([getattr(o, name) for o in sets])
-        for name in ("g_plus", "g_minus", "g_pm", "f_plus", "f_minus")
-    }
+    g_pm = np.array([overlap_set(p, m).g_pm for p, m in zip(plus, minus)])
     f_prime = np.array([overlap_closed_form(p, m, "ff") for p, m in zip(plus, minus[2:])])
     # The cross-state integrals are derived from tables.rows on first read.
-    _assert_same_bits(tables.g_pm, same_l.pop("g_pm"), "g_pm")
+    _assert_same_bits(tables.g_pm, g_pm, "g_pm")
     _assert_same_bits(tables.f_prime, f_prime, "f_prime")
+    # The same-state integrals, derived from the energies, come along.
     rebuilt = PacketTables(
         spec,
         tables.weights,
         e_plus=np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in plus]),
         e_minus=np.array([binding_energy(s.Z, s.n_prime, s.kappa) for s in minus]),
         omega=np.array([fine_splitting(Z, int(n)) for n in tables.weights.n]),
-        **same_l,
     )
     _assert_same_tables(tables, rebuilt)
 
@@ -196,8 +182,8 @@ def test_window_rows_of_a_sub_range_are_a_slice(Z, start, shells, data):
     n = np.arange(start, start + shells)
     whole = _window_rows(xi, n)
     part = _window_rows(xi, n[a:b])
-    # Seven per-shell arrays: the energies and the same-state integrals.
-    assert len(part) == len(whole) == 7
+    # Three per-shell arrays: the two binding energies and the splitting.
+    assert len(part) == len(whole) == 3
     for got, want in zip(part, whole):
         _assert_same_bits(got, want[a:b], "rows")
     # Any subset, gaps and all, is a take of the whole: a sweep evaluates the
@@ -252,10 +238,6 @@ def test_sweep_tables_match_each_window_bit_for_bit(specs):
             weights = build_weights(spec)
             xi = _coupling(spec.Z, 1, int(weights.n[0]) - 1, spec.constants)
             rows = _window_rows(xi, weights.n)
-            if nonrelativistic_radial:
-                # The same-state integrals' limits: 1 for g, 0 for f.
-                ones, zeros = np.ones(weights.n.size), np.zeros(weights.n.size)
-                rows = (*rows[:3], ones, ones, zeros, zeros)
             expected = (_LimitTables if nonrelativistic_radial else PacketTables)(
                 spec, weights, *rows
             )
