@@ -28,12 +28,12 @@ GOLDEN = [
     ),
     (
         ("autocorr", "--Z", "1", "--N", "20", "--samples", "300", "--tmax", "10.5"),
-        "d768015a1ab1b2ffa47af7fbda1099d081463064dca5163c921a9a578f350962",
+        "a9b1c033ee983c16b21c9664e44b32bf8042619f1328e6cab24a8500b4c31cdd",
     ),
     (
         ("autocorr", "--Z", "92", "--N", "20", "--unit", "kepler", "--tmin", "0.5",
          "--tmax", "3", "--samples", "200", "--no-small"),
-        "978cec5e1ba71da02f35f5e6e4acf4adaaae8acc7242097fe798ef8c3e38091f",
+        "a2f39c544960023334332c8b4a3b1bcf56bbdae6e3681179eb13d07a4b202a5a",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3"),
