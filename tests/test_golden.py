@@ -37,17 +37,17 @@ GOLDEN = [
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3"),
-        "46b293f1daa479d1fb0bc116bbc1ffdd4cc16ff70df8eb1ed8a3a35ae04e83f4",
+        "5fdfe42fa8160b96d7ad49a44ff23263cfc1d5b8c18bc9ea859f398de3e87671",
     ),
     (
         ("spin", "--Z", "92", "--N", "40", "--samples", "300", "--tmax", "10.3",
          "--no-delta"),
-        "2c1a7cbf25e3d1ab3e81acab34cb1d9fb2f69c3c549cc556114dbf4fda331a4b",
+        "c4423d092ca470b60c68bca5ec95feae077fdaea546065b288e2281c83ab44e5",
     ),
     (
         ("spin", "--Z", "54", "--N", "12", "--sigma", "1.5", "--a", "0.6", "--b", "0.8",
          "--unit", "seconds", "--tmax", "1e-13", "--samples", "150"),
-        "6f3576a820b202c3364ab91cb7ac62fc9d064f3eec683ea0a620e883b1286322",
+        "dd90b1ce8fc87fe7a2b418500bbc74ed0a74251328680b5d95c21bdd61627287",
     ),
     (
         ("density", "--Z", "92", "--N", "20", "--unit", "kepler", "--time", "0.37",
