@@ -61,7 +61,7 @@ GOLDEN = [
     ),
     (
         ("smallnorm", "--Z", "1:92:7", "--N", "10:40:10"),
-        "33ad808b4732703c55dc8f67ff662704a856cf8fc09f6459f69851da777f70fc",
+        "be53182d401ecb5889f1561ed35721a749937652fdd5966e7d081f8ac4216366",
     ),
 ]
 
