@@ -46,7 +46,7 @@ from diracpacket import (
 )
 from oracles import ket_states
 
-GOLDEN = "4da912de467c1175a0bbe84cb0693f970aca950ce8eaa21e5b964825c936e3ab"
+GOLDEN = "118972fde4cba8a443886a4140d38fe5e1745ab7713209ab4e9903985eec3830"
 LABEL_GOLDEN = "b3916281a315698d147817aa9c9f2a39f7bb021b8b2290f88f44f366b0271b40"
 
 Z_VALUES = (1, 7, 54, 92, 118, 137)
