@@ -356,7 +356,8 @@ _FLAGS = {
     "no_small": dict(
         action="store_const", const=True, default=False,
         help="diagnostics: replace radial integrals by their limit values "
-        "(large-component overlaps 1, small-component integrals 0)",
+        "(large-component overlaps 1, small-component integrals 0); "
+        "changes the spin and the norms, not A(t)",
     ),
 }
 

@@ -193,9 +193,9 @@ class PacketTables:
     norm4 alone, and A(t) acf_plus and acf_minus alone:
 
     - the same-state radial integrals f_plus = <f+|f+> = (1 - E+)/2 =
-      -e_plus/2, exact halvings of the binding energies, so they keep
-      their accuracy, f_minus likewise, and g_plus = <g+|g+> = 1 - f_plus,
-      bit for bit 1 + e_plus/2, and g_minus;
+      -e_plus/2, an exact halving that keeps e_plus's accuracy, and
+      g_plus = <g+|g+> = 1 - f_plus, bit for bit 1 + e_plus/2; likewise
+      f_minus and g_minus;
     - rows, the radial data of the window's partners (the j+ rows, then the
       j- rows, as e_plus and e_minus), which feeds the density and the two
       cross-state integrals: g_pm = <g+|g->, shell by shell, and
@@ -206,9 +206,10 @@ class PacketTables:
     - the coefficients of A(t) (acf_*, the eigenstate populations), of the
       component norms (norm*) and of <sigma_x>, <sigma_y> (sx_*); each
       already carries w_l^2 and the radial integrals, so an observable is a
-      dot product against phase factors.  The cos(omega t) coefficient of <c1|c1> is -norm2_cos, and
-      the sin(omega t) coefficient of <sigma_y> is sx_cos, which the
-      property sy_sin returns too, only because bench/checks.py reads it.
+      dot product against phase factors.  The cos(omega t) coefficient of
+      <c1|c1> is -norm2_cos, and the sin(omega t) coefficient of <sigma_y>
+      is sx_cos, which the property sy_sin returns too, only because
+      bench/checks.py reads it.
       <sigma_z> has no table: the properties sz_* derive it from norm*;
     - kets, the stationary-state expansion behind the density (a
       _KetTable).
